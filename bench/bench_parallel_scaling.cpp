@@ -8,7 +8,14 @@
 //   2. How do the accumulators compare on a pure begin/accumulate/finalize
 //      replay of the same workload (machinery cost, nothing else)?
 //   3. How does run_infomap_parallel scale with threads on a power-law
-//      (Chung-Lu) graph, and does the codelength stay thread-invariant?
+//      (Chung-Lu) graph, does the codelength stay thread-invariant, and
+//      what does the propose/verify scheme cost over the serial driver at
+//      one thread (`parallel_1t_vs_hotset`: 1-thread parallel FBC over
+//      serial hot-set FBC)?  Each row also records how the serial verify
+//      settled the proposals (replays vs revalidations).
+//
+// Every timed configuration runs `--reps` interleaved repetitions and keeps
+// its minimum.
 //
 // The bench *asserts* (exit 1) that all three engines report bit-identical
 // codelengths — the accumulators are constructed to be output-equivalent,
@@ -161,11 +168,44 @@ int main(int argc, char** argv) {
   // --- Part 1: single-threaded FindBestCommunity phase, three engines.
   // Identical driver, identical decisions (the kernel tie-breaks order
   // differences away); only the accumulation machinery differs.  The
-  // chained model is deterministic overhead so one run suffices; flat and
-  // hotset race each other for the headline number, so they run `reps`
-  // interleaved repetitions and keep the per-engine minimum — adjacent
-  // runs share whatever noise the host is producing, and the minimum is
-  // the least-disturbed sample of a deterministic quantity.
+  // chained model is deterministic overhead so one run suffices; flat,
+  // hotset and the parallel driver's thread points (part 2) race each other
+  // for the headline numbers, so they run `reps` interleaved repetitions
+  // and keep the per-configuration minimum — adjacent runs share whatever
+  // noise the host is producing, and the minimum is the least-disturbed
+  // sample of a deterministic quantity.
+  struct ThreadPoint {
+    int threads;
+    double total_seconds = 1e300;
+    double fbc = 1e300;
+    double codelength = 0.0;
+    std::size_t communities = 0;
+    std::uint64_t moves = 0;
+    std::uint64_t sweeps = 0;
+    std::uint64_t proposals = 0;
+    std::uint64_t replays = 0;
+    std::uint64_t revalidations = 0;
+  };
+  std::vector<ThreadPoint> points;
+  for (const int nt : cfg.threads) points.push_back(ThreadPoint{nt});
+  const auto parallel_run = [&g](ThreadPoint& p) {
+    obs::MetricRegistry reg;  // fresh per run: totals are this run's alone
+    core::InfomapOptions opts;
+    opts.metrics = &reg;
+    support::WallTimer wall;
+    const auto r = core::run_infomap_parallel(g, opts, p.threads);
+    p.total_seconds = std::min(p.total_seconds, wall.seconds());
+    p.fbc = std::min(p.fbc, fbc_seconds(reg));
+    // Every rep makes the same decisions; the counts are per run.
+    p.codelength = r.codelength;
+    p.communities = r.num_communities;
+    p.moves = reg.counter_total("asamap_run_moves_total");
+    p.sweeps = reg.counter_total("asamap_run_sweeps_total");
+    p.proposals = reg.counter_total("asamap_parallel_proposals_total");
+    p.replays = reg.counter_total("asamap_parallel_replays_total");
+    p.revalidations = reg.counter_total("asamap_parallel_revalidations_total");
+  };
+
   double chained_fbc = 0.0;
   const auto chained =
       timed_run(g, core::AccumulatorKind::kChained, chained_fbc);
@@ -177,6 +217,7 @@ int main(int argc, char** argv) {
     hotset = timed_run(g, core::AccumulatorKind::kHotSet, h);
     flat_fbc = std::min(flat_fbc, f);
     hotset_fbc = std::min(hotset_fbc, h);
+    for (ThreadPoint& p : points) parallel_run(p);
   }
 
   benchutil::Table t1({"Engine", "FindBestCommunity (s)", "Speedup",
@@ -242,37 +283,28 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // --- Part 2: parallel driver thread scaling.
+  // --- Part 2: parallel driver thread scaling (timed in part 1's loop).
   benchutil::Table t2({"Threads", "Total (s)", "FindBestCommunity (s)",
-                       "Self-speedup", "Codelength (bits)", "Communities"});
-  struct ThreadPoint {
-    int threads;
-    double total_seconds;
-    double fbc;
-    double codelength;
-    std::size_t communities;
-    std::uint64_t moves;
-    std::uint64_t sweeps;
-  };
-  std::vector<ThreadPoint> points;
-  double base_total = 0.0;
-  core::InfomapOptions opts;
-  for (const int nt : cfg.threads) {
-    obs::MetricRegistry reg;  // fresh per run: totals are this run's alone
-    opts.metrics = &reg;
-    support::WallTimer wall;
-    const auto r = core::run_infomap_parallel(g, opts, nt);
-    const double total = wall.seconds();
-    const double fbc = fbc_seconds(reg);
-    if (points.empty()) base_total = total;
-    points.push_back({nt, total, fbc, r.codelength, r.num_communities,
-                      reg.counter_total("asamap_run_moves_total"),
-                      reg.counter_total("asamap_run_sweeps_total")});
-    t2.add_row({std::to_string(nt), fmt(total, 3), fmt(fbc, 3),
-                fmt(base_total / total, 2) + "x", fmt(r.codelength, 6),
-                std::to_string(r.num_communities)});
+                       "Self-speedup", "Codelength (bits)", "Communities",
+                       "Replays", "Revalidations"});
+  const double base_total = points.empty() ? 0.0 : points.front().total_seconds;
+  for (const ThreadPoint& p : points) {
+    t2.add_row({std::to_string(p.threads), fmt(p.total_seconds, 3),
+                fmt(p.fbc, 3), fmt(base_total / p.total_seconds, 2) + "x",
+                fmt(p.codelength, 6), std::to_string(p.communities),
+                std::to_string(p.replays), std::to_string(p.revalidations)});
   }
   t2.print(std::cout);
+  // The parallel driver's cost over the serial one at equal resources:
+  // 1-thread parallel FBC over serial hot-set FBC (both min-of-reps).
+  double one_thread_vs_serial = 0.0;
+  for (const ThreadPoint& p : points) {
+    if (p.threads == 1) one_thread_vs_serial = p.fbc / hotset_fbc;
+  }
+  if (one_thread_vs_serial > 0.0) {
+    std::cout << "1-thread parallel vs serial hot-set (FBC phase): "
+              << fmt(one_thread_vs_serial, 3) << "x\n";
+  }
 
   // Self-speedup is only a meaningful claim when the host actually has
   // cores to scale onto; a single-core host timeslices the threads and
@@ -318,7 +350,8 @@ int main(int argc, char** argv) {
      << ", \"accumulates\": " << hotset.hotset.accumulates
      << ", \"spills\": " << hotset.hotset.spills << "},\n"
      << "    \"flat_vs_chained_speedup\": " << chained_fbc / flat_fbc << ",\n"
-     << "    \"hotset_vs_flat_speedup\": " << flat_fbc / hotset_fbc << "\n"
+     << "    \"hotset_vs_flat_speedup\": " << flat_fbc / hotset_fbc << ",\n"
+     << "    \"parallel_1t_vs_hotset\": " << one_thread_vs_serial << "\n"
      << "  },\n"
      << "  \"replay\": {\n"
      << "    \"chained_seconds\": " << chained_replay << ",\n"
@@ -335,7 +368,10 @@ int main(int argc, char** argv) {
        << ", \"self_speedup\": " << base_total / p.total_seconds
        << ", \"codelength\": " << p.codelength << ", \"communities\": "
        << p.communities << ", \"moves\": " << p.moves << ", \"sweeps\": "
-       << p.sweeps << '}' << (i + 1 < points.size() ? "," : "") << '\n';
+       << p.sweeps << ", \"proposals\": " << p.proposals
+       << ", \"replays\": " << p.replays << ", \"revalidations\": "
+       << p.revalidations << '}' << (i + 1 < points.size() ? "," : "")
+       << '\n';
   }
   js << "  ]\n}\n";
   std::cout << "\nWrote " << cfg.out << '\n';

@@ -161,6 +161,11 @@ inline void publish_run_metrics(const InfomapResult& result,
   }
   reg->counter("asamap_run_moves_total").inc(moves);
   reg->counter("asamap_run_sweeps_total").inc(sweeps);
+  reg->counter("asamap_parallel_proposals_total")
+      .inc(result.breakdown.proposals);
+  reg->counter("asamap_parallel_replays_total").inc(result.breakdown.replays);
+  reg->counter("asamap_parallel_revalidations_total")
+      .inc(result.breakdown.revalidations);
   reg->gauge("asamap_run_levels").set(static_cast<double>(result.levels));
   reg->gauge("asamap_run_communities")
       .set(static_cast<double>(result.num_communities));
@@ -519,14 +524,18 @@ InfomapResult run_infomap(const graph::CsrGraph& g,
 /// OpenMP against a snapshot of the module state, then verified and applied
 /// serially (RelaxMap-style relaxed concurrency, made deterministic).
 ///
-/// Phase 1 records full move proposals (target + flows), not just flags;
-/// phase 2 replays them in vertex order and only re-runs the accumulator
-/// for vertices whose neighborhood changed since the snapshot (tracked by
-/// per-vertex epoch stamps).  Aggregates stay exact because recorded flows
-/// are only reused when provably unchanged, and the code-length delta is
-/// re-derived from live aggregates in O(1) before applying.  The result is
-/// deterministic *and* thread-count-invariant up to the floating-point
-/// noise of parallel contraction.
+/// Each sweep walks the vertex ids in fixed rounds of 1024 vertices.  Per
+/// round, phase 1 records full move proposals (target + flows), not just
+/// flags, against the state as of the round's start; phase 2 replays them
+/// in vertex order and only re-runs the accumulator for vertices whose
+/// neighborhood changed since that snapshot (tracked by per-vertex epoch
+/// stamps).  Later rounds therefore propose against earlier rounds' moves,
+/// which keeps most proposals fresh and convergence close to the serial
+/// driver's.  Aggregates stay exact because recorded flows are only reused
+/// when provably unchanged, and the code-length delta is re-derived from
+/// live aggregates in O(1) before applying.  The round size is a constant,
+/// so the result is deterministic *and* bitwise thread-count-invariant:
+/// the same partition and codelength at any thread count.
 ///
 /// `kind` selects the native accumulation engine: kHotSet (default — the
 /// software-CAM two-level accumulator) or kFlat.  The instrumented kinds

@@ -81,6 +81,15 @@ struct KernelBreakdown {
   std::uint64_t vertices = 0;
   std::uint64_t moves = 0;
   std::uint64_t accumulate_calls = 0;
+  // Parallel propose/verify driver only (zero elsewhere): improving
+  // proposals recorded by the parallel phase, and how the serial verify
+  // settled each one — an O(1) replay of the recorded flows, or a full
+  // re-accumulation because a neighbor moved since the round's snapshot.
+  // Every proposal is settled exactly once: proposals == replays +
+  // revalidations.
+  std::uint64_t proposals = 0;
+  std::uint64_t replays = 0;
+  std::uint64_t revalidations = 0;
 
   KernelBreakdown& operator+=(const KernelBreakdown& o) noexcept {
     hash_cycles += o.hash_cycles;
@@ -90,6 +99,9 @@ struct KernelBreakdown {
     vertices += o.vertices;
     moves += o.moves;
     accumulate_calls += o.accumulate_calls;
+    proposals += o.proposals;
+    replays += o.replays;
+    revalidations += o.revalidations;
     return *this;
   }
 

@@ -38,7 +38,6 @@ struct ParallelWorkspace {
   std::vector<std::uint8_t> flagged;       ///< has a recorded proposal
   std::vector<MoveProposal> proposals;     ///< phase-1 output per vertex
   std::vector<std::uint64_t> stamp;        ///< epoch of last neighborhood change
-  std::vector<VertexId> order;             ///< phase-1 schedule (degree-desc)
 
   // Per-thread state, shard-per-thread with a post-region fold
   // (obs::PerThread replaces the hand-rolled CacheAligned vectors plus
@@ -46,8 +45,6 @@ struct ParallelWorkspace {
   std::vector<support::CacheAligned<Acc>> accs;
   obs::PerThread<KernelBreakdown> breakdowns;
   obs::PerThread<double> propose_seconds;
-
-  Acc apply_acc;  ///< serial verify/apply phase
 
   ParallelWorkspace(int num_threads, VertexId n)
       : threads(num_threads),
@@ -76,54 +73,43 @@ struct ParallelWorkspace {
         result.hotset += acc->hot_stats();
         acc->reset_hot_stats();
       }
-      result.hotset += apply_acc.hot_stats();
-      apply_acc.reset_hot_stats();
     } else {
       (void)result;
     }
   }
 };
 
-/// Fills `order` with the vertices of `fn` in descending total-degree order
-/// (stable: ties stay in ascending vertex id).  Counting sort, O(n + D).
-///
-/// This is the phase-1 *schedule* only: hubs go first so (a) the dynamic
-/// OpenMP chunks don't leave a heavy straggler for last, and (b) each
-/// thread's hot set takes its capacity misses while it is cold, then stays
-/// warm across the long tail of low-degree vertices.  Phase 2 still applies
-/// proposals in vertex-id order, so the outcome is unchanged — proposals
-/// are independent evaluations against the frozen snapshot.
-void build_degree_order(const FlowNetwork& fn, std::vector<VertexId>& order) {
-  const VertexId n = fn.num_nodes();
-  order.resize(n);
-  std::vector<std::uint32_t> deg(n);
-  std::uint32_t max_deg = 0;
-  for (VertexId v = 0; v < n; ++v) {
-    const auto d = static_cast<std::uint32_t>(
-        fn.graph.out_neighbors(v).size() + fn.graph.in_neighbors(v).size());
-    deg[v] = d;
-    max_deg = std::max(max_deg, d);
-  }
-  std::vector<std::uint32_t> start(std::size_t{max_deg} + 2, 0);
-  for (VertexId v = 0; v < n; ++v) ++start[max_deg - deg[v] + 1];
-  for (std::size_t b = 1; b < start.size(); ++b) start[b] += start[b - 1];
-  for (VertexId v = 0; v < n; ++v) order[start[max_deg - deg[v]]++] = v;
-}
+/// Vertices per propose/verify round.  A constant — never derived from the
+/// thread count — so the round boundaries, and with them every decision,
+/// are identical at any thread count.  Levels with n <= kRound run as one
+/// round.  Small enough that most proposals are verified against a state
+/// only a few hundred moves old (cheap O(1) replays, Gauss-Seidel-like
+/// convergence); large enough that each round's parallel phase amortizes
+/// its two barriers.
+constexpr VertexId kRound = 1024;
 
 /// Runs propose/verify sweeps on `state` until convergence or `max_sweeps`.
 ///
-/// Phase 1 (parallel, one OpenMP region for *all* sweeps): every active
-/// vertex evaluates its best move against the frozen module state and
-/// records the full proposal (target + boundary flows).  Phase 2 (serial,
-/// inside `omp single`): proposals are replayed in vertex order.  A
-/// proposal's flows are exact iff no neighbor of the vertex moved since the
-/// phase-1 snapshot — tracked with per-vertex epoch stamps bumped on every
-/// applied move — in which case the code-length delta is re-derived from
-/// live aggregates in O(1) and the move applies without touching the
-/// accumulator.  Only vertices whose neighborhood changed re-run the full
-/// accumulation.  Aggregates therefore stay exact, the module state is
-/// incrementally maintained (no per-sweep recompute), and the outcome is
-/// identical for every thread count.
+/// One OpenMP region spans *all* sweeps.  Each sweep walks the vertex ids in
+/// fixed rounds of kRound vertices; per round:
+///
+///   Phase 1 (parallel): every active vertex of the round evaluates its best
+///   move against the module state as of the round's start and records the
+///   full proposal (target + boundary flows).
+///   Phase 2 (serial, inside `omp single`): the round's proposals are
+///   verified and applied in vertex order.  A proposal's flows are exact iff
+///   no neighbor of the vertex moved since the round's snapshot — tracked
+///   with per-vertex epoch stamps bumped on every applied move — in which
+///   case the code-length delta is re-derived from live aggregates in O(1)
+///   (a *replay*) and the move applies without touching the accumulator.
+///   Only vertices whose neighborhood changed re-run the full accumulation
+///   (a *revalidation*).
+///
+/// Later rounds propose against the moves of earlier ones, so a sweep is
+/// close to a serial Gauss-Seidel pass and few proposals go stale.
+/// Aggregates stay exact, the module state is maintained incrementally (no
+/// per-sweep recompute), and the outcome is identical for every thread
+/// count.
 ///
 /// Returns total moves; appends per-sweep traces when `record_trace`.
 /// When `seed` is non-null the first sweep activates only those vertices
@@ -141,14 +127,47 @@ std::uint64_t parallel_sweeps(ModuleState& state, const FlowNetwork& fn,
   const VertexId n = fn.num_nodes();
   ws.reset(n);
   if (seed != nullptr) seed_active_set(fn, *seed, ws.active);
-  build_degree_order(fn, ws.order);
   sim::NullSink sink;  // stateless: sharing across threads is race-free
 
   std::uint64_t epoch = 0;        // applied-move counter (phase 2 only)
   std::uint64_t total_moves = 0;
+  std::uint64_t moves = 0;        // this sweep's moves (phase 2 only)
   double prev_codelength = state.codelength();
   bool done = false;
-  support::WallTimer sweep_wall;  // reset by each sweep's phase-2 executor
+  support::WallTimer sweep_wall;  // reset by each sweep's last phase 2
+
+  // End-of-sweep bookkeeping, run inside the last round's phase 2 so
+  // `done` and `interrupted` stay single-writer.
+  const auto end_sweep = [&](int sweep) {
+    total_moves += moves;
+    if (record_trace) {
+      SweepTrace st;
+      st.level = level;
+      st.sweep = sweep;
+      st.moves = moves;
+      st.codelength = state.codelength();
+      st.wall_seconds = sweep_wall.seconds();
+      double worst = 0.0;
+      ws.propose_seconds.fold(
+          worst, [](double& w, double s) { w = std::max(w, s); });
+      st.sim_seconds = worst;
+      result.trace.push_back(st);
+    }
+    if (moves == 0 ||
+        prev_codelength - state.codelength() < opts.min_improvement_bits) {
+      done = true;
+    }
+    // Cooperative cancellation, checked once per sweep.
+    if (opts.cancel && opts.cancel->load(std::memory_order_relaxed)) {
+      done = true;
+      result.interrupted = true;
+    }
+    prev_codelength = state.codelength();
+    moves = 0;
+    ws.active.swap(ws.next_active);
+    std::fill_n(ws.next_active.begin(), n, std::uint8_t{0});
+    sweep_wall.reset();  // next sweep measures from here
+  };
 
   support::tsan_release(&ws);  // workspace + state: main -> team
 #pragma omp parallel num_threads(ws.threads) default(shared)
@@ -157,106 +176,87 @@ std::uint64_t parallel_sweeps(ModuleState& state, const FlowNetwork& fn,
     const int tid = omp_get_thread_num();
     Acc& acc = *ws.accs[tid];
     KernelBreakdown& bd = ws.breakdowns.local(tid);
+    double& propose_seconds = ws.propose_seconds.local(tid);
 
     for (int sweep = 0; sweep < max_sweeps; ++sweep) {
       if (done) break;  // uniform: read after the end-of-sweep barrier
+      propose_seconds = 0.0;
 
-      support::WallTimer propose_wall;
-      // Phase 1: propose against the frozen snapshot.  RelaxMap-style
-      // relaxed reads are safe because nothing mutates state here, and
-      // each iteration writes only its own vertex's slots.  Iteration runs
-      // the degree-descending schedule (see build_degree_order); the
-      // outcome is order-independent because proposals don't interact.
-#pragma omp for schedule(dynamic, 1024) nowait
-      for (std::int64_t vi = 0; vi < static_cast<std::int64_t>(n); ++vi) {
-        const VertexId v = ws.order[static_cast<std::size_t>(vi)];
-        if (!ws.active[v]) continue;
-        const MoveProposal p = evaluate_move(state, fn, v, acc, sink, addrs,
-                                             costs, bd, opts.time_wall);
-        if (p.improving(state.module_of(v))) {
-          ws.proposals[v] = p;
-          ws.flagged[v] = 1;
+      VertexId lo = 0;
+      do {  // one round even when n == 0, so the sweep still ends
+        const VertexId hi = lo + std::min(kRound, n - lo);
+
+        support::WallTimer propose_wall;
+        // Phase 1: propose against the round's snapshot.  RelaxMap-style
+        // relaxed reads are safe because nothing mutates state here, and
+        // each iteration writes only its own vertex's slots.
+#pragma omp for schedule(dynamic, 64) nowait
+        for (std::int64_t vi = lo; vi < static_cast<std::int64_t>(hi); ++vi) {
+          const auto v = static_cast<VertexId>(vi);
+          if (!ws.active[v]) continue;
+          const MoveProposal p = evaluate_move(state, fn, v, acc, sink, addrs,
+                                               costs, bd, opts.time_wall);
+          if (p.improving(state.module_of(v))) {
+            ws.proposals[v] = p;
+            ws.flagged[v] = 1;
+            ++bd.proposals;
+          }
         }
-      }
-      ws.propose_seconds.local(tid) = propose_wall.seconds();
-      support::omp_barrier_sync(&ws);  // phase-1 writes -> phase-2 reads
+        propose_seconds += propose_wall.seconds();
+        support::omp_barrier_sync(&ws);  // phase-1 writes -> phase-2 reads
 
 #pragma omp single nowait
-      {
-        const std::uint64_t snapshot = epoch;
-        std::uint64_t moves = 0;
-        // Phase 2: verify and apply serially in vertex order — exact and
-        // deterministic regardless of thread count.
-        for (VertexId v = 0; v < n; ++v) {
-          if (!ws.flagged[v]) continue;
-          ws.flagged[v] = 0;
-          bool moved = false;
-          if (ws.stamp[v] <= snapshot) {
-            // Neighborhood untouched since the snapshot: the recorded
-            // flows are exact; only the delta needs refreshing (other
-            // modules' aggregates moved under us), which is O(1).
-            const MoveProposal& p = ws.proposals[v];
-            if (p.target != state.module_of(v) &&
-                state.delta_move(v, p.target, p.flows) < -1e-15) {
-              state.apply_move(v, p.target, p.flows);
-              ++result.breakdown.moves;
-              moved = true;
+        {
+          const std::uint64_t snapshot = epoch;
+          // Phase 2: verify and apply serially in vertex order — exact and
+          // deterministic regardless of thread count.
+          for (VertexId v = lo; v < hi; ++v) {
+            if (!ws.flagged[v]) continue;
+            ws.flagged[v] = 0;
+            bool moved = false;
+            if (ws.stamp[v] <= snapshot) {
+              // Neighborhood untouched since the snapshot: the recorded
+              // flows are exact; only the delta needs refreshing (other
+              // modules' aggregates moved under us), which is O(1).
+              ++result.breakdown.replays;
+              const MoveProposal& p = ws.proposals[v];
+              if (p.target != state.module_of(v) &&
+                  state.delta_move(v, p.target, p.flows) < -1e-15) {
+                state.apply_move(v, p.target, p.flows);
+                ++result.breakdown.moves;
+                moved = true;
+              }
+            } else {
+              // A neighbor moved: flows are stale, re-run the accumulator
+              // (this thread's own, idle until the next round).
+              ++result.breakdown.revalidations;
+              moved = find_best_community(state, fn, v, acc, sink,
+                                          addrs, costs, result.breakdown,
+                                          opts.time_wall);
             }
-          } else {
-            // A neighbor moved: flows are stale, re-run the accumulator.
-            moved = find_best_community(state, fn, v, ws.apply_acc, sink,
-                                        addrs, costs, result.breakdown,
-                                        opts.time_wall);
+            if (moved) {
+              ++moves;
+              ++epoch;
+              ws.stamp[v] = epoch;
+              ws.next_active[v] = 1;
+              for (const graph::Arc& arc : fn.graph.out_neighbors(v)) {
+                ws.stamp[arc.dst] = epoch;
+                ws.next_active[arc.dst] = 1;
+              }
+              for (const graph::Arc& arc : fn.graph.in_neighbors(v)) {
+                ws.stamp[arc.dst] = epoch;
+                ws.next_active[arc.dst] = 1;
+              }
+            }
           }
-          if (moved) {
-            ++moves;
-            ++epoch;
-            ws.stamp[v] = epoch;
-            ws.next_active[v] = 1;
-            for (const graph::Arc& arc : fn.graph.out_neighbors(v)) {
-              ws.stamp[arc.dst] = epoch;
-              ws.next_active[arc.dst] = 1;
-            }
-            for (const graph::Arc& arc : fn.graph.in_neighbors(v)) {
-              ws.stamp[arc.dst] = epoch;
-              ws.next_active[arc.dst] = 1;
-            }
-          }
+          if (hi == n) end_sweep(sweep);
         }
-        total_moves += moves;
-
-        if (record_trace) {
-          SweepTrace st;
-          st.level = level;
-          st.sweep = sweep;
-          st.moves = moves;
-          st.codelength = state.codelength();
-          st.wall_seconds = sweep_wall.seconds();
-          double worst = 0.0;
-          ws.propose_seconds.fold(
-              worst, [](double& w, double s) { w = std::max(w, s); });
-          st.sim_seconds = worst;
-          result.trace.push_back(st);
-        }
-
-        if (moves == 0 ||
-            prev_codelength - state.codelength() < opts.min_improvement_bits) {
-          done = true;
-        }
-        // Cooperative cancellation, checked once per sweep in the serial
-        // phase so `done` and `interrupted` stay single-writer.
-        if (opts.cancel && opts.cancel->load(std::memory_order_relaxed)) {
-          done = true;
-          result.interrupted = true;
-        }
-        prev_codelength = state.codelength();
-        ws.active.swap(ws.next_active);
-        std::fill_n(ws.next_active.begin(), n, std::uint8_t{0});
-        sweep_wall.reset();  // next sweep measures from here
-      }
-      // `done`, the applied moves, and the swapped active set become
-      // visible to every thread before the next sweep begins.
-      support::omp_barrier_sync(&ws);
+        // The round's moves (and, after the last round, `done` and the
+        // swapped active set) become visible to every thread before the
+        // next round proposes against them.
+        support::omp_barrier_sync(&ws);
+        lo = hi;
+      } while (lo < n);
     }
     // Team -> main: per-thread accumulators/breakdowns are folded after
     // the region, and libgomp's pool handoff is invisible to TSAN.

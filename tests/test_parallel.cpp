@@ -1,6 +1,7 @@
 // Tests for the native parallel Infomap driver: thread-count invariance,
 // engine parity with the new flat accumulator, option parity
-// (refine_sweeps / time_wall), and trace/breakdown accounting.
+// (refine_sweeps / time_wall), trace/breakdown accounting, and
+// cross-round verification on graphs larger than one verify round.
 //
 // This file is also the TSAN target: CI rebuilds it with -fsanitize=thread
 // to catch data races in the propose/verify apply path, so every test here
@@ -11,6 +12,7 @@
 #include "asamap/core/infomap.hpp"
 #include "asamap/gen/generators.hpp"
 #include "asamap/metrics/partition.hpp"
+#include "asamap/obs/metrics.hpp"
 
 namespace {
 
@@ -24,11 +26,11 @@ TEST(ParallelDeterminism, CodelengthInvariantAcrossThreadCounts) {
   const InfomapResult t1 = core::run_infomap_parallel(pp.graph, {}, 1);
   const InfomapResult t2 = core::run_infomap_parallel(pp.graph, {}, 2);
   const InfomapResult t4 = core::run_infomap_parallel(pp.graph, {}, 4);
-  // Proposals are computed against a frozen snapshot and applied serially
-  // in vertex order, so the thread count must not change the outcome (up
-  // to the floating-point noise of the parallel contraction merge).
-  EXPECT_NEAR(t1.codelength, t2.codelength, 1e-9);
-  EXPECT_NEAR(t1.codelength, t4.codelength, 1e-9);
+  // Proposals are computed against each round's snapshot and applied
+  // serially in vertex order, so the thread count must not change the
+  // outcome — bitwise.
+  EXPECT_EQ(t1.codelength, t2.codelength);
+  EXPECT_EQ(t1.codelength, t4.codelength);
   EXPECT_EQ(t1.num_communities, t2.num_communities);
   EXPECT_EQ(t1.num_communities, t4.num_communities);
   EXPECT_EQ(t1.communities, t2.communities);
@@ -114,8 +116,124 @@ TEST(ParallelQuality, DirectedFlowModelWorks) {
   opts.flow.model = core::FlowModel::kDirected;
   const InfomapResult t1 = core::run_infomap_parallel(pp.graph, opts, 1);
   const InfomapResult t4 = core::run_infomap_parallel(pp.graph, opts, 4);
-  EXPECT_NEAR(t1.codelength, t4.codelength, 1e-9);
+  EXPECT_EQ(t1.codelength, t4.codelength);
   EXPECT_EQ(t1.communities, t4.communities);
+}
+
+// --- Multi-round verify.  The driver verifies proposals in fixed rounds of
+// 1024 vertex ids, so graphs above that size exercise cross-round
+// verification: later rounds propose against moves applied by earlier
+// ones.  n = 20000 gives ~20 rounds at level 0 and is above the parallel
+// contraction's size cutoff, so 2/4 threads also take the parallel
+// contraction path.
+
+const graph::CsrGraph& multi_round_graph() {
+  static const graph::CsrGraph g = [] {
+    gen::ChungLuParams params;
+    params.n = 20000;
+    params.target_edges = 120000;
+    params.gamma = 2.5;
+    params.min_deg = 2;
+    return gen::chung_lu(params, 1321);
+  }();
+  return g;
+}
+
+/// A warm start one step off the converged partition: every 97th vertex is
+/// moved into a fresh singleton module and seeded, like a delta batch.
+struct WarmStart {
+  core::Partition partition;
+  std::vector<graph::VertexId> seed;
+};
+
+WarmStart perturbed_warm_start(const InfomapResult& base) {
+  WarmStart w;
+  w.partition = base.communities;
+  auto next = static_cast<graph::VertexId>(base.num_communities);
+  for (graph::VertexId v = 0; v < w.partition.size(); v += 97) {
+    w.partition[v] = next++;
+    w.seed.push_back(v);
+  }
+  return w;
+}
+
+TEST(ParallelMultiRound, ThreadCountInvariant) {
+  const auto& g = multi_round_graph();
+  ASSERT_GT(g.num_vertices(), 16u * 1024u);
+  const InfomapResult t1 = core::run_infomap_parallel(g, {}, 1);
+  const InfomapResult t2 = core::run_infomap_parallel(g, {}, 2);
+  const InfomapResult t4 = core::run_infomap_parallel(g, {}, 4);
+  EXPECT_EQ(t1.communities, t2.communities);
+  EXPECT_EQ(t1.communities, t4.communities);
+  EXPECT_EQ(t1.codelength, t2.codelength);
+  EXPECT_EQ(t1.codelength, t4.codelength);
+  EXPECT_EQ(t1.trace.size(), t4.trace.size());
+  EXPECT_GT(t1.num_communities, 1u);
+}
+
+TEST(ParallelMultiRound, FlatEqualsHotSet) {
+  const auto& g = multi_round_graph();
+  const InfomapResult flat =
+      core::run_infomap_parallel(g, {}, 2, AccumulatorKind::kFlat);
+  const InfomapResult hot =
+      core::run_infomap_parallel(g, {}, 2, AccumulatorKind::kHotSet);
+  EXPECT_EQ(flat.communities, hot.communities);
+  EXPECT_EQ(flat.codelength, hot.codelength);
+}
+
+TEST(ParallelMultiRound, SeededWarmStartInvariant) {
+  const auto& g = multi_round_graph();
+  const WarmStart w =
+      perturbed_warm_start(core::run_infomap_parallel(g, {}, 2));
+  InfomapOptions opts;
+  opts.warm_start = &w.partition;
+  opts.active_seed = &w.seed;
+  const InfomapResult t1 = core::run_infomap_parallel(g, opts, 1);
+  const InfomapResult t2 = core::run_infomap_parallel(g, opts, 2);
+  const InfomapResult t4 = core::run_infomap_parallel(g, opts, 4);
+  const InfomapResult flat =
+      core::run_infomap_parallel(g, opts, 2, AccumulatorKind::kFlat);
+  EXPECT_EQ(t1.communities, t2.communities);
+  EXPECT_EQ(t1.communities, t4.communities);
+  EXPECT_EQ(t1.codelength, t2.codelength);
+  EXPECT_EQ(t1.codelength, t4.codelength);
+  EXPECT_EQ(flat.communities, t2.communities);
+  EXPECT_EQ(flat.codelength, t2.codelength);
+  // The re-sweep repairs the perturbation.
+  EXPECT_LT(t1.codelength, t1.initial_codelength);
+}
+
+TEST(ParallelMultiRound, EveryProposalIsReplayedOrRevalidated) {
+  const auto& g = multi_round_graph();
+  obs::MetricRegistry reg;
+  InfomapOptions opts;
+  opts.metrics = &reg;
+  const InfomapResult r = core::run_infomap_parallel(g, opts, 4);
+  const std::uint64_t proposals =
+      reg.counter_total("asamap_parallel_proposals_total");
+  const std::uint64_t replays =
+      reg.counter_total("asamap_parallel_replays_total");
+  const std::uint64_t revalidations =
+      reg.counter_total("asamap_parallel_revalidations_total");
+  // Proposals are counted by the parallel phase, replays and revalidations
+  // by the serial verify: a dropped or doubly-verified proposal breaks the
+  // balance.
+  EXPECT_EQ(proposals, replays + revalidations);
+  EXPECT_GT(replays, 0u);
+  EXPECT_GT(revalidations, 0u);
+  EXPECT_EQ(proposals, r.breakdown.proposals);
+  EXPECT_EQ(revalidations, r.breakdown.revalidations);
+}
+
+TEST(ParallelMultiRound, OneThreadQualityMatchesSerialDriver) {
+  // Rounds make the parallel driver close to a Gauss-Seidel sweep: later
+  // rounds see earlier moves.  Its codelength must not trail the serial
+  // driver's by more than 0.1%.
+  const auto& g = multi_round_graph();
+  const InfomapResult serial =
+      core::run_infomap(g, {}, AccumulatorKind::kHotSet);
+  const InfomapResult par = core::run_infomap_parallel(g, {}, 1);
+  EXPECT_LE(par.codelength, serial.codelength * (1.0 + 1e-3));
 }
 
 }  // namespace
