@@ -28,11 +28,7 @@ ModuleState::ModuleState(const FlowNetwork& fn) : fn_(&fn) {
   const VertexId n = fn.num_nodes();
   module_of_.resize(n);
   for (VertexId v = 0; v < n; ++v) module_of_[v] = v;
-  mod_flow_.assign(n, 0.0);
-  mod_tp_.assign(n, 0.0);
-  mod_out_link_.assign(n, 0.0);
-  mod_in_link_.assign(n, 0.0);
-  mod_cnt_.assign(n, 0);
+  mods_.assign(n, ModuleAgg{});
   init_aggregates();
 }
 
@@ -40,11 +36,7 @@ ModuleState::ModuleState(const FlowNetwork& fn, const Partition& init,
                          std::size_t num_modules)
     : fn_(&fn), module_of_(init) {
   ASAMAP_CHECK(init.size() == fn.num_nodes(), "partition size mismatch");
-  mod_flow_.assign(num_modules, 0.0);
-  mod_tp_.assign(num_modules, 0.0);
-  mod_out_link_.assign(num_modules, 0.0);
-  mod_in_link_.assign(num_modules, 0.0);
-  mod_cnt_.assign(num_modules, 0);
+  mods_.assign(num_modules, ModuleAgg{});
   init_aggregates();
 }
 
@@ -74,15 +66,13 @@ void ModuleState::init_aggregates() {
   for (VertexId v = 0; v < n; ++v) {
     total_tp_ += fn.teleport_flow[v];
     node_flow_log_ += plogp(fn.node_flow[v]);
-    const VertexId m = module_of_[v];
-    mod_flow_[m] += fn.node_flow[v];
-    mod_tp_[m] += fn.teleport_flow[v];
-    mod_cnt_[m] += fn.orig_count[v];
+    ModuleAgg& m = mods_[module_of_[v]];
+    m.flow += fn.node_flow[v];
+    m.tp += fn.teleport_flow[v];
+    m.cnt += fn.orig_count[v];
   }
 
   // Boundary link flows.
-  std::fill(mod_out_link_.begin(), mod_out_link_.end(), 0.0);
-  std::fill(mod_in_link_.begin(), mod_in_link_.end(), 0.0);
   {
     std::size_t e = 0;
     for (VertexId u = 0; u < n; ++u) {
@@ -90,8 +80,8 @@ void ModuleState::init_aggregates() {
       for (const graph::Arc& arc : fn.graph.out_neighbors(u)) {
         const VertexId mv = module_of_[arc.dst];
         if (mu != mv) {
-          mod_out_link_[mu] += fn.out_flow[e];
-          mod_in_link_[mv] += fn.out_flow[e];
+          mods_[mu].out_link += fn.out_flow[e];
+          mods_[mv].in_link += fn.out_flow[e];
         }
         ++e;
       }
@@ -114,11 +104,21 @@ double ModuleState::enter_from(double in_link, double tp,
 }
 
 double ModuleState::exit_of(VertexId m) const noexcept {
-  return exit_from(mod_out_link_[m], mod_tp_[m], mod_cnt_[m]);
+  const ModuleAgg& a = mods_[m];
+  return exit_from(a.out_link, a.tp, a.cnt);
 }
 
 double ModuleState::enter_of(VertexId m) const noexcept {
-  return enter_from(mod_in_link_[m], mod_tp_[m], mod_cnt_[m]);
+  const ModuleAgg& a = mods_[m];
+  return enter_from(a.in_link, a.tp, a.cnt);
+}
+
+void ModuleState::refresh(VertexId m) noexcept {
+  ModuleAgg& a = mods_[m];
+  const double ex = exit_of(m);
+  a.plogp_exit = plogp(ex);
+  a.plogp_enter = plogp(enter_of(m));
+  a.plogp_exit_flow = plogp(ex + a.flow);
 }
 
 void ModuleState::recompute() {
@@ -126,14 +126,14 @@ void ModuleState::recompute() {
   sum_plogp_enter_ = 0.0;
   sum_plogp_exit_ = 0.0;
   sum_plogp_exit_flow_ = 0.0;
-  for (VertexId m = 0; m < mod_flow_.size(); ++m) {
-    if (mod_flow_[m] <= 0.0 && mod_cnt_[m] == 0) continue;
-    const double ex = exit_of(m);
-    const double en = enter_of(m);
-    enter_sum_ += en;
-    sum_plogp_enter_ += plogp(en);
-    sum_plogp_exit_ += plogp(ex);
-    sum_plogp_exit_flow_ += plogp(ex + mod_flow_[m]);
+  for (VertexId m = 0; m < mods_.size(); ++m) {
+    refresh(m);
+    const ModuleAgg& a = mods_[m];
+    if (a.flow <= 0.0 && a.cnt == 0) continue;
+    enter_sum_ += enter_of(m);
+    sum_plogp_enter_ += a.plogp_enter;
+    sum_plogp_exit_ += a.plogp_exit;
+    sum_plogp_exit_flow_ += a.plogp_exit_flow;
   }
   codelength_ = plogp(enter_sum_) - sum_plogp_enter_ - sum_plogp_exit_ +
                 sum_plogp_exit_flow_ - node_flow_log_;
@@ -145,56 +145,74 @@ double ModuleState::index_codelength() const noexcept {
 
 std::size_t ModuleState::live_modules() const {
   std::size_t live = 0;
-  for (VertexId m = 0; m < mod_flow_.size(); ++m) {
-    if (mod_cnt_[m] > 0) ++live;
+  for (const ModuleAgg& a : mods_) {
+    if (a.cnt > 0) ++live;
   }
   return live;
 }
 
-double ModuleState::delta_move(VertexId v, VertexId target,
-                               const MoveFlows& f) const {
-  const VertexId o = module_of_[v];
-  if (o == target) return 0.0;
+ModuleState::SourceTerms ModuleState::source_terms(VertexId v,
+                                                   const MoveFlows& f) const {
   const FlowNetwork& fn = *fn_;
+  const VertexId o = module_of_[v];
+  const ModuleAgg& om = mods_[o];
 
   // Old-module aggregates after removing v.
-  const double o_out = mod_out_link_[o] - (node_out_[v] - f.out_to_current) +
-                       f.in_from_current;
-  const double o_in = mod_in_link_[o] - (node_in_[v] - f.in_from_current) +
-                      f.out_to_current;
-  const double o_flow = mod_flow_[o] - fn.node_flow[v];
-  const double o_tp = mod_tp_[o] - fn.teleport_flow[v];
-  const std::uint64_t o_cnt = mod_cnt_[o] - fn.orig_count[v];
+  const double o_out =
+      om.out_link - (node_out_[v] - f.out_to_current) + f.in_from_current;
+  const double o_in =
+      om.in_link - (node_in_[v] - f.in_from_current) + f.out_to_current;
+  const double o_flow = om.flow - fn.node_flow[v];
+  const double o_tp = om.tp - fn.teleport_flow[v];
+  const std::uint64_t o_cnt = om.cnt - fn.orig_count[v];
+  const double new_exit_o = exit_from(o_out, o_tp, o_cnt);
+
+  SourceTerms s;
+  s.module = o;
+  s.enter_sum_less_old = enter_sum_ - enter_of(o);
+  s.new_enter = enter_from(o_in, o_tp, o_cnt);
+  s.plogp_enter_sum = plogp(enter_sum_);
+  s.plogp_new_enter = plogp(s.new_enter);
+  s.plogp_old_enter = om.plogp_enter;
+  s.plogp_new_exit = plogp(new_exit_o);
+  s.plogp_old_exit = om.plogp_exit;
+  s.plogp_new_exit_flow = plogp(new_exit_o + o_flow);
+  s.plogp_old_exit_flow = om.plogp_exit_flow;
+  return s;
+}
+
+double ModuleState::delta_to(const SourceTerms& src, VertexId v,
+                             VertexId target, const MoveFlows& f) const {
+  if (src.module == target) return 0.0;
+  const FlowNetwork& fn = *fn_;
+  const ModuleAgg& tm = mods_[target];
 
   // Target-module aggregates after adding v.
-  const double t_out = mod_out_link_[target] +
-                       (node_out_[v] - f.out_to_target) - f.in_from_target;
-  const double t_in = mod_in_link_[target] +
-                      (node_in_[v] - f.in_from_target) - f.out_to_target;
-  const double t_flow = mod_flow_[target] + fn.node_flow[v];
-  const double t_tp = mod_tp_[target] + fn.teleport_flow[v];
-  const std::uint64_t t_cnt = mod_cnt_[target] + fn.orig_count[v];
+  const double t_out =
+      tm.out_link + (node_out_[v] - f.out_to_target) - f.in_from_target;
+  const double t_in =
+      tm.in_link + (node_in_[v] - f.in_from_target) - f.out_to_target;
+  const double t_flow = tm.flow + fn.node_flow[v];
+  const double t_tp = tm.tp + fn.teleport_flow[v];
+  const std::uint64_t t_cnt = tm.cnt + fn.orig_count[v];
 
-  const double old_exit_o = exit_of(o);
-  const double old_exit_t = exit_of(target);
-  const double old_enter_o = enter_of(o);
-  const double old_enter_t = enter_of(target);
-  const double new_exit_o = exit_from(o_out, o_tp, o_cnt);
+  const double old_enter_t = enter_from(tm.in_link, tm.tp, tm.cnt);
   const double new_exit_t = exit_from(t_out, t_tp, t_cnt);
-  const double new_enter_o = enter_from(o_in, o_tp, o_cnt);
   const double new_enter_t = enter_from(t_in, t_tp, t_cnt);
 
+  // S' = S - enter_o - enter_t + enter_o' + enter_t', summed left to right.
   const double new_enter_sum =
-      enter_sum_ - old_enter_o - old_enter_t + new_enter_o + new_enter_t;
+      src.enter_sum_less_old - old_enter_t + src.new_enter + new_enter_t;
 
-  double delta = plogp(new_enter_sum) - plogp(enter_sum_);
-  delta -= plogp(new_enter_o) + plogp(new_enter_t) - plogp(old_enter_o) -
-           plogp(old_enter_t);
-  delta -= plogp(new_exit_o) + plogp(new_exit_t) - plogp(old_exit_o) -
-           plogp(old_exit_t);
-  delta += plogp(new_exit_o + o_flow) + plogp(new_exit_t + t_flow) -
-           plogp(old_exit_o + mod_flow_[o]) -
-           plogp(old_exit_t + mod_flow_[target]);
+  // The map equation's change term by term; each line keeps the
+  // (new_o + new_t) - old_o - old_t order.
+  double delta = plogp(new_enter_sum) - src.plogp_enter_sum;
+  delta -= src.plogp_new_enter + plogp(new_enter_t) - src.plogp_old_enter -
+           tm.plogp_enter;
+  delta -= src.plogp_new_exit + plogp(new_exit_t) - src.plogp_old_exit -
+           tm.plogp_exit;
+  delta += src.plogp_new_exit_flow + plogp(new_exit_t + t_flow) -
+           src.plogp_old_exit_flow - tm.plogp_exit_flow;
   return delta;
 }
 
@@ -202,39 +220,37 @@ void ModuleState::apply_move(VertexId v, VertexId target, const MoveFlows& f) {
   const VertexId o = module_of_[v];
   if (o == target) return;
   const FlowNetwork& fn = *fn_;
+  ModuleAgg& om = mods_[o];
+  ModuleAgg& tm = mods_[target];
 
-  // Retire the old plogp contributions of both modules.
-  const double old_enter_o = enter_of(o);
-  const double old_enter_t = enter_of(target);
-  sum_plogp_enter_ -= plogp(old_enter_o) + plogp(old_enter_t);
-  sum_plogp_exit_ -= plogp(exit_of(o)) + plogp(exit_of(target));
-  sum_plogp_exit_flow_ -= plogp(exit_of(o) + mod_flow_[o]) +
-                          plogp(exit_of(target) + mod_flow_[target]);
-  enter_sum_ -= old_enter_o + old_enter_t;
+  // Retire the old cached contributions of both modules.
+  sum_plogp_enter_ -= om.plogp_enter + tm.plogp_enter;
+  sum_plogp_exit_ -= om.plogp_exit + tm.plogp_exit;
+  sum_plogp_exit_flow_ -= om.plogp_exit_flow + tm.plogp_exit_flow;
+  enter_sum_ -= enter_of(o) + enter_of(target);
 
-  // Update raw aggregates (same algebra as delta_move).
-  mod_out_link_[o] += -(node_out_[v] - f.out_to_current) + f.in_from_current;
-  mod_in_link_[o] += -(node_in_[v] - f.in_from_current) + f.out_to_current;
-  mod_flow_[o] -= fn.node_flow[v];
-  mod_tp_[o] -= fn.teleport_flow[v];
-  mod_cnt_[o] -= fn.orig_count[v];
+  // Update raw aggregates (same algebra as source_terms / delta_to).
+  om.out_link += -(node_out_[v] - f.out_to_current) + f.in_from_current;
+  om.in_link += -(node_in_[v] - f.in_from_current) + f.out_to_current;
+  om.flow -= fn.node_flow[v];
+  om.tp -= fn.teleport_flow[v];
+  om.cnt -= fn.orig_count[v];
 
-  mod_out_link_[target] += (node_out_[v] - f.out_to_target) - f.in_from_target;
-  mod_in_link_[target] += (node_in_[v] - f.in_from_target) - f.out_to_target;
-  mod_flow_[target] += fn.node_flow[v];
-  mod_tp_[target] += fn.teleport_flow[v];
-  mod_cnt_[target] += fn.orig_count[v];
+  tm.out_link += (node_out_[v] - f.out_to_target) - f.in_from_target;
+  tm.in_link += (node_in_[v] - f.in_from_target) - f.out_to_target;
+  tm.flow += fn.node_flow[v];
+  tm.tp += fn.teleport_flow[v];
+  tm.cnt += fn.orig_count[v];
 
   module_of_[v] = target;
+  refresh(o);
+  refresh(target);
 
   // Admit the new contributions.
-  const double new_enter_o = enter_of(o);
-  const double new_enter_t = enter_of(target);
-  sum_plogp_enter_ += plogp(new_enter_o) + plogp(new_enter_t);
-  sum_plogp_exit_ += plogp(exit_of(o)) + plogp(exit_of(target));
-  sum_plogp_exit_flow_ += plogp(exit_of(o) + mod_flow_[o]) +
-                          plogp(exit_of(target) + mod_flow_[target]);
-  enter_sum_ += new_enter_o + new_enter_t;
+  sum_plogp_enter_ += om.plogp_enter + tm.plogp_enter;
+  sum_plogp_exit_ += om.plogp_exit + tm.plogp_exit;
+  sum_plogp_exit_flow_ += om.plogp_exit_flow + tm.plogp_exit_flow;
+  enter_sum_ += enter_of(o) + enter_of(target);
 
   codelength_ = plogp(enter_sum_) - sum_plogp_enter_ - sum_plogp_exit_ +
                 sum_plogp_exit_flow_ - node_flow_log_;

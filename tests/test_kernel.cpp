@@ -9,6 +9,7 @@
 #include "asamap/core/kernel.hpp"
 #include "asamap/gen/generators.hpp"
 #include "asamap/graph/edge_list.hpp"
+#include "asamap/hashdb/flat_accumulator.hpp"
 #include "asamap/hashdb/software_accumulator.hpp"
 #include "asamap/sim/core_model.hpp"
 
@@ -222,6 +223,92 @@ TEST(Kernel, WallTimingPopulatedWhenRequested) {
                     KernelCosts{}, bd, /*time_wall=*/true);
   EXPECT_GT(bd.hash_seconds, 0.0);
   EXPECT_GT(bd.other_seconds, 0.0);
+}
+
+TEST(Kernel, EvaluateMoveMatchesBruteForceDeltaMove) {
+  // evaluate_move hoists the source-module terms out of its candidate loop
+  // and reads the target's cached terms; a plain loop over the same
+  // candidates calling delta_move must pick the same target with the same
+  // delta and flows, bit for bit, while the state evolves under the moves.
+  gen::ChungLuParams params;
+  params.n = 2000;
+  params.target_edges = 12000;
+  params.gamma = 2.3;
+  params.max_deg = 300;
+  const CsrGraph g = gen::chung_lu(params, 61);
+  const FlowNetwork fn = core::build_flow(g);
+  ModuleState state(fn);
+
+  NullSink sink;
+  hashdb::AddressSpace addrs;
+  hashdb::FlatAccumulator acc;
+  const LevelAddresses la = LevelAddresses::for_network(fn, addrs);
+  const KernelCosts costs;
+  KernelBreakdown bd;
+
+  std::uint64_t candidates = 0;
+  std::uint64_t moves = 0;
+  for (int sweep = 0; sweep < 2; ++sweep) {
+    for (VertexId v = 0; v < fn.num_nodes(); ++v) {
+      const core::MoveProposal p =
+          core::evaluate_move(state, fn, v, acc, sink, la, costs, bd);
+
+      // The same accumulation, replayed to list the candidates.
+      acc.begin();
+      const auto outs = g.out_neighbors(v);
+      for (std::size_t i = 0; i < outs.size(); ++i) {
+        acc.accumulate(state.module_of(outs[i].dst),
+                       fn.out_flow[g.out_offset(v) + i]);
+      }
+      const auto ins = g.in_neighbors(v);
+      for (std::size_t i = 0; i < ins.size(); ++i) {
+        acc.accumulate(state.module_of(ins[i].dst),
+                       fn.in_flow[g.in_offset(v) + i]);
+      }
+      const auto pairs = acc.finalize();
+
+      const VertexId current = state.module_of(v);
+      double flow_current = 0.0;
+      for (const hashdb::KeyValue& kv : pairs) {
+        if (kv.key == current) flow_current = kv.value;
+      }
+      ModuleState::MoveFlows best_flows;
+      best_flows.out_to_current = flow_current / 2.0;
+      best_flows.in_from_current = flow_current / 2.0;
+      constexpr double kTieBits = 1e-12;
+      double best_delta = 0.0;
+      VertexId best_module = current;
+      for (const hashdb::KeyValue& kv : pairs) {
+        if (kv.key == current) continue;
+        ++candidates;
+        ModuleState::MoveFlows f = best_flows;
+        f.out_to_target = kv.value / 2.0;
+        f.in_from_target = kv.value / 2.0;
+        const double delta = state.delta_move(v, kv.key, f);
+        const bool better = delta < best_delta - kTieBits;
+        const bool tie = !better && delta < best_delta + kTieBits &&
+                         best_module != current && kv.key < best_module;
+        if (better || tie) {
+          best_delta = std::min(best_delta, delta);
+          best_module = kv.key;
+          best_flows = f;
+        }
+      }
+
+      ASSERT_EQ(p.target, best_module) << "vertex " << v;
+      ASSERT_EQ(p.delta, best_delta) << "vertex " << v;
+      ASSERT_EQ(p.flows.out_to_target, best_flows.out_to_target);
+      ASSERT_EQ(p.flows.in_from_target, best_flows.in_from_target);
+      ASSERT_EQ(p.flows.out_to_current, best_flows.out_to_current);
+      ASSERT_EQ(p.flows.in_from_current, best_flows.in_from_current);
+      if (p.improving(current)) {
+        state.apply_move(v, p.target, p.flows);
+        ++moves;
+      }
+    }
+  }
+  EXPECT_GT(candidates, fn.num_nodes());
+  EXPECT_GT(moves, 0u);
 }
 
 TEST(Kernel, IsolatedVertexNeverMoves) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "asamap/core/flow.hpp"
 #include "asamap/core/map_equation.hpp"
@@ -190,6 +191,192 @@ TEST(MapEquation, DirectedTeleportTermsFinite) {
   EXPECT_GT(state.codelength(), 0.0);
   ModuleState merged(fn, Partition{0, 0, 0, 1}, 2);
   EXPECT_TRUE(std::isfinite(merged.codelength()));
+}
+
+// The pre-split move evaluation, kept verbatim as an oracle: every term
+// recomputed from the raw aggregates, 14 plogp calls per move.  The split
+// source/target evaluation with cached terms must reproduce it bit for bit.
+class ReferenceDelta {
+ public:
+  explicit ReferenceDelta(const FlowNetwork& fn)
+      : fn_(fn), node_out_(fn.num_nodes(), 0.0),
+        node_in_(fn.num_nodes(), 0.0) {
+    // Same accumulation order as ModuleState, so the totals are bitwise equal.
+    std::size_t e = 0;
+    for (VertexId u = 0; u < fn.num_nodes(); ++u) {
+      for (std::size_t i = 0; i < fn.graph.out_neighbors(u).size(); ++i) {
+        node_out_[u] += fn.out_flow[e++];
+      }
+    }
+    e = 0;
+    for (VertexId u = 0; u < fn.num_nodes(); ++u) {
+      for (std::size_t i = 0; i < fn.graph.in_neighbors(u).size(); ++i) {
+        node_in_[u] += fn.in_flow[e++];
+      }
+    }
+    for (VertexId u = 0; u < fn.num_nodes(); ++u) {
+      total_tp_ += fn.teleport_flow[u];
+    }
+  }
+
+  double operator()(const ModuleState& s, VertexId v, VertexId target,
+                    const ModuleState::MoveFlows& f) const {
+    const VertexId o = s.module_of(v);
+    if (o == target) return 0.0;
+    const ModuleState::ModuleAgg& om = s.module_agg(o);
+    const ModuleState::ModuleAgg& tm = s.module_agg(target);
+
+    const double o_out = om.out_link - (node_out_[v] - f.out_to_current) +
+                         f.in_from_current;
+    const double o_in = om.in_link - (node_in_[v] - f.in_from_current) +
+                        f.out_to_current;
+    const double o_flow = om.flow - fn_.node_flow[v];
+    const double o_tp = om.tp - fn_.teleport_flow[v];
+    const std::uint64_t o_cnt = om.cnt - fn_.orig_count[v];
+
+    const double t_out = tm.out_link + (node_out_[v] - f.out_to_target) -
+                         f.in_from_target;
+    const double t_in = tm.in_link + (node_in_[v] - f.in_from_target) -
+                        f.out_to_target;
+    const double t_flow = tm.flow + fn_.node_flow[v];
+    const double t_tp = tm.tp + fn_.teleport_flow[v];
+    const std::uint64_t t_cnt = tm.cnt + fn_.orig_count[v];
+
+    const double old_exit_o = exit_from(om.out_link, om.tp, om.cnt);
+    const double old_exit_t = exit_from(tm.out_link, tm.tp, tm.cnt);
+    const double old_enter_o = enter_from(om.in_link, om.tp, om.cnt);
+    const double old_enter_t = enter_from(tm.in_link, tm.tp, tm.cnt);
+    const double new_exit_o = exit_from(o_out, o_tp, o_cnt);
+    const double new_exit_t = exit_from(t_out, t_tp, t_cnt);
+    const double new_enter_o = enter_from(o_in, o_tp, o_cnt);
+    const double new_enter_t = enter_from(t_in, t_tp, t_cnt);
+
+    const double enter_sum = s.enter_sum();
+    const double new_enter_sum =
+        enter_sum - old_enter_o - old_enter_t + new_enter_o + new_enter_t;
+
+    double delta = plogp(new_enter_sum) - plogp(enter_sum);
+    delta -= plogp(new_enter_o) + plogp(new_enter_t) - plogp(old_enter_o) -
+             plogp(old_enter_t);
+    delta -= plogp(new_exit_o) + plogp(new_exit_t) - plogp(old_exit_o) -
+             plogp(old_exit_t);
+    delta += plogp(new_exit_o + o_flow) + plogp(new_exit_t + t_flow) -
+             plogp(old_exit_o + om.flow) - plogp(old_exit_t + tm.flow);
+    return delta;
+  }
+
+ private:
+  double exit_from(double out_link, double tp, std::uint64_t cnt) const {
+    const double N = static_cast<double>(fn_.total_orig);
+    return out_link + tp * (N - static_cast<double>(cnt)) / N;
+  }
+  double enter_from(double in_link, double tp, std::uint64_t cnt) const {
+    const double N = static_cast<double>(fn_.total_orig);
+    return in_link + (static_cast<double>(cnt) / N) * (total_tp_ - tp);
+  }
+
+  const FlowNetwork& fn_;
+  std::vector<double> node_out_;
+  std::vector<double> node_in_;
+  double total_tp_ = 0.0;
+};
+
+/// Exact link flows between v and the target / its own module, from both
+/// arc directions (so directed networks get their true in/out split).
+ModuleState::MoveFlows exact_flows(const FlowNetwork& fn,
+                                   const ModuleState& s, VertexId v,
+                                   VertexId target) {
+  ModuleState::MoveFlows f;
+  const VertexId current = s.module_of(v);
+  const auto outs = fn.graph.out_neighbors(v);
+  const auto out_base = static_cast<std::size_t>(fn.graph.out_offset(v));
+  for (std::size_t i = 0; i < outs.size(); ++i) {
+    const VertexId m = s.module_of(outs[i].dst);
+    if (m == target) f.out_to_target += fn.out_flow[out_base + i];
+    if (m == current && outs[i].dst != v) {
+      f.out_to_current += fn.out_flow[out_base + i];
+    }
+  }
+  const auto ins = fn.graph.in_neighbors(v);
+  const auto in_base = static_cast<std::size_t>(fn.graph.in_offset(v));
+  for (std::size_t i = 0; i < ins.size(); ++i) {
+    const VertexId m = s.module_of(ins[i].dst);
+    if (m == target) f.in_from_target += fn.in_flow[in_base + i];
+    if (m == current && ins[i].dst != v) {
+      f.in_from_current += fn.in_flow[in_base + i];
+    }
+  }
+  return f;
+}
+
+/// Every module's cached plogp terms must equal what recompute() derives
+/// from the live aggregates.
+void expect_cache_fresh(const ModuleState& state, int move) {
+  ModuleState fresh = state;
+  fresh.recompute();
+  for (VertexId m = 0; m < fresh.assignment().size(); ++m) {
+    const ModuleState::ModuleAgg& a = state.module_agg(m);
+    const ModuleState::ModuleAgg& b = fresh.module_agg(m);
+    ASSERT_EQ(a.plogp_exit, b.plogp_exit) << "module " << m << " move " << move;
+    ASSERT_EQ(a.plogp_enter, b.plogp_enter)
+        << "module " << m << " move " << move;
+    ASSERT_EQ(a.plogp_exit_flow, b.plogp_exit_flow)
+        << "module " << m << " move " << move;
+  }
+}
+
+/// Drives >= `moves` random neighbor-module moves through the state,
+/// checking delta_move against the reference formula bitwise before each
+/// one and the term cache periodically.
+void check_split_delta_bitwise(const FlowNetwork& fn, int moves,
+                               std::uint64_t seed) {
+  ModuleState state(fn);
+  const ReferenceDelta reference(fn);
+  support::Xoshiro256 rng(seed);
+  int applied = 0;
+  for (int attempt = 0; applied < moves && attempt < 50 * moves; ++attempt) {
+    const auto v = static_cast<VertexId>(rng.next_below(fn.num_nodes()));
+    const auto nbrs = fn.graph.out_neighbors(v);
+    if (nbrs.empty()) continue;
+    const VertexId target =
+        state.module_of(nbrs[rng.next_below(nbrs.size())].dst);
+    const ModuleState::MoveFlows f = exact_flows(fn, state, v, target);
+    ASSERT_EQ(state.delta_move(v, target, f), reference(state, v, target, f))
+        << "move " << applied;
+    if (target == state.module_of(v)) continue;
+    state.apply_move(v, target, f);
+    ++applied;
+    if (applied % 500 == 0) {
+      expect_cache_fresh(state, applied);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+  ASSERT_GE(applied, moves);
+  expect_cache_fresh(state, applied);
+}
+
+TEST(MapEquation, SplitDeltaIsBitwiseTheFullFormulaUndirected) {
+  const auto pp = gen::planted_partition(400, 8, 0.1, 0.01, 21);
+  const FlowNetwork fn = core::build_flow(pp.graph);
+  check_split_delta_bitwise(fn, 10000, 23);
+}
+
+TEST(MapEquation, SplitDeltaIsBitwiseTheFullFormulaDirectedTeleport) {
+  // A random directed graph under the PageRank flow model: nonzero teleport
+  // flow makes exit != enter, exercising every term of the formula.
+  support::Xoshiro256 rng(29);
+  EdgeList e;
+  for (int i = 0; i < 4000; ++i) {
+    const auto u = static_cast<VertexId>(rng.next_below(400));
+    const auto w = static_cast<VertexId>(rng.next_below(400));
+    if (u != w) e.add(u, w);
+  }
+  e.coalesce();
+  core::FlowOptions opts;
+  opts.model = core::FlowModel::kDirected;
+  const FlowNetwork fn = core::build_flow(CsrGraph::from_edges(e), opts);
+  ASSERT_GT(fn.teleport_flow[0], 0.0);
+  check_split_delta_bitwise(fn, 10000, 31);
 }
 
 }  // namespace
