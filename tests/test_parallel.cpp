@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "asamap/core/infomap.hpp"
 #include "asamap/gen/generators.hpp"
 #include "asamap/metrics/partition.hpp"
@@ -234,6 +236,48 @@ TEST(ParallelMultiRound, OneThreadQualityMatchesSerialDriver) {
       core::run_infomap(g, {}, AccumulatorKind::kHotSet);
   const InfomapResult par = core::run_infomap_parallel(g, {}, 1);
   EXPECT_LE(par.codelength, serial.codelength * (1.0 + 1e-3));
+}
+
+// --- Cooperative cancellation.  A cancel flag set before the run starts
+// stops each executor at its first cancel check: the serial executor checks
+// before every sweep, the propose/verify executor after every sweep.  Either
+// way the run must stop at level 0 and return a consistent partition no
+// worse than the start state.
+
+void expect_cancelled_at_level_zero(const graph::CsrGraph& g,
+                                    const InfomapResult& r) {
+  EXPECT_TRUE(r.interrupted);
+  EXPECT_EQ(r.levels, 1);
+  ASSERT_EQ(r.communities.size(), g.num_vertices());
+  for (const graph::VertexId c : r.communities) {
+    EXPECT_LT(c, r.num_communities);
+  }
+  EXPECT_LE(r.codelength, r.initial_codelength);
+}
+
+TEST(ParallelCancel, PresetFlagStopsSerialExecutorBeforeFirstSweep) {
+  const auto pp = gen::planted_partition(1200, 12, 0.2, 0.005, 1327);
+  const std::atomic<bool> cancel{true};
+  InfomapOptions opts;
+  opts.cancel = &cancel;
+  const InfomapResult r = core::run_infomap(pp.graph, opts);
+  expect_cancelled_at_level_zero(pp.graph, r);
+  // No sweep ran: every vertex is still its own module.
+  EXPECT_TRUE(r.trace.empty());
+  EXPECT_EQ(r.num_communities, pp.graph.num_vertices());
+  EXPECT_EQ(r.codelength, r.initial_codelength);
+}
+
+TEST(ParallelCancel, PresetFlagStopsProposeVerifyExecutorAfterFirstSweep) {
+  const auto pp = gen::planted_partition(1200, 12, 0.2, 0.005, 1327);
+  const std::atomic<bool> cancel{true};
+  InfomapOptions opts;
+  opts.cancel = &cancel;
+  for (const int threads : {1, 2}) {
+    const InfomapResult r = core::run_infomap_parallel(pp.graph, opts, threads);
+    expect_cancelled_at_level_zero(pp.graph, r);
+    EXPECT_EQ(r.trace.size(), 1u) << threads << " threads";
+  }
 }
 
 }  // namespace

@@ -15,13 +15,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "asamap/core/infomap.hpp"
+#include "asamap/dist/distributed.hpp"
 #include "asamap/dyn/delta_log.hpp"
 #include "asamap/dyn/incremental.hpp"
 #include "asamap/gen/generators.hpp"
 #include "asamap/gen/lfr.hpp"
+#include "asamap/hashdb/flat_accumulator.hpp"
 #include "asamap/support/rng.hpp"
 
 namespace {
@@ -200,6 +205,154 @@ TEST(AccumulatorParity, ParallelFlatAndHotSetAreBitwiseEqual) {
     expect_same_moves(flat, hotset);
     EXPECT_GT(hotset.hotset.begins, 0u);
   }
+}
+
+// --- Refactor pin -----------------------------------------------------------
+//
+// Exact outcomes of every driver configuration, recorded from the drivers as
+// they stood before the serial, propose/verify and superstep level loops were
+// folded into one loop behind a sweep executor (the pre-refactor drivers).
+// The sweep bodies were moved, not rewritten, so every value must still match
+// bitwise: the codelength as a hex float, the partition as an FNV-1a hash.
+
+/// FNV-1a over the community ids, little-endian 32-bit words.
+std::uint64_t fnv1a(const core::Partition& p) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const graph::VertexId c : p) {
+    for (int b = 0; b < 4; ++b) {
+      h ^= (c >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+std::string hex(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%a", v);
+  return buf;
+}
+
+void expect_pinned(const char* what, double codelength,
+                   const core::Partition& communities, double want_codelength,
+                   std::uint64_t want_hash) {
+  EXPECT_EQ(codelength, want_codelength)
+      << what << ": codelength " << hex(codelength) << " want "
+      << hex(want_codelength);
+  EXPECT_EQ(fnv1a(communities), want_hash)
+      << what << ": hash 0x" << std::hex << fnv1a(communities) << " want 0x"
+      << want_hash;
+}
+
+/// 20k vertices: above the 16,384-node cutoff of the parallel contraction,
+/// so multi-thread runs take the parallel Convert2SuperNode path.
+const graph::CsrGraph& pin_graph() {
+  static const graph::CsrGraph g = [] {
+    gen::ChungLuParams params;
+    params.n = 20000;
+    params.target_edges = 120000;
+    params.gamma = 2.5;
+    params.min_deg = 2;
+    return gen::chung_lu(params, 2431);
+  }();
+  return g;
+}
+
+graph::CsrGraph small_chung_lu(std::uint64_t seed) {
+  gen::ChungLuParams params;
+  params.n = 4000;
+  params.target_edges = 30000;
+  params.gamma = 2.5;
+  params.min_deg = 2;
+  return gen::chung_lu(params, seed);
+}
+
+TEST(RefactorPin, SerialEngines) {
+  const graph::CsrGraph g = small_chung_lu(2433);
+  const InfomapResult chained =
+      core::run_infomap(g, {}, AccumulatorKind::kChained);
+  const InfomapResult flat = core::run_infomap(g, {}, AccumulatorKind::kFlat);
+  const InfomapResult hotset =
+      core::run_infomap(g, {}, AccumulatorKind::kHotSet);
+  expect_pinned("chained", chained.codelength, chained.communities,
+                0x1.5d04121ee90c6p+3, 0xba828b8c0ded194fULL);
+  expect_pinned("flat", flat.codelength, flat.communities,
+                0x1.5d04121ee90c6p+3, 0xba828b8c0ded194fULL);
+  expect_pinned("hotset", hotset.codelength, hotset.communities,
+                0x1.5d04121ee90c6p+3, 0xba828b8c0ded194fULL);
+}
+
+TEST(RefactorPin, TwoWorkerMultilevelWithRefinement) {
+  const graph::CsrGraph g = small_chung_lu(2437);
+  hashdb::FlatAccumulator acc0, acc1;
+  sim::NullSink sink0, sink1;
+  using W = core::Worker<hashdb::FlatAccumulator, sim::NullSink>;
+  W workers[2] = {W{&acc0, &sink0}, W{&acc1, &sink1}};
+  core::InfomapOptions opts;
+  opts.refine_sweeps = 2;
+  opts.interleave_block = 256;
+  const InfomapResult r =
+      core::run_multilevel(g, opts, std::span<W>(workers, 2));
+  EXPECT_GT(r.levels, 1);
+  expect_pinned("2-worker", r.codelength, r.communities, 0x1.4bd1a24c3da6ep+3,
+                0xd8054cd7e9a0cc8fULL);
+}
+
+TEST(RefactorPin, ParallelThreadCounts) {
+  const double want_codelength = 0x1.96360459d3a28p+3;
+  const std::uint64_t want_hash = 0x5d3556c4498ee976ULL;
+  for (const int threads : {1, 2, 4}) {
+    const InfomapResult r =
+        core::run_infomap_parallel(pin_graph(), {}, threads);
+    expect_pinned(threads == 1   ? "parallel 1t"
+                  : threads == 2 ? "parallel 2t"
+                                 : "parallel 4t",
+                  r.codelength, r.communities, want_codelength, want_hash);
+  }
+}
+
+TEST(RefactorPin, WarmSeededBelowAndAboveLocalRepair) {
+  const graph::CsrGraph& g = pin_graph();
+  const InfomapResult base = core::run_infomap_parallel(g, {}, 2);
+  // Perturb the warm partition so the seeded re-sweep has work to do.
+  core::Partition warm = base.communities;
+  std::vector<graph::VertexId> small_seed, large_seed;
+  for (graph::VertexId v = 0; v < 200; ++v) small_seed.push_back(v * 97 % 20000);
+  for (graph::VertexId v = 0; v < 2000; ++v) large_seed.push_back(v * 7 % 20000);
+  for (const graph::VertexId v : small_seed) warm[v] = warm[(v + 1) % 20000];
+  core::InfomapOptions opts;
+  opts.warm_start = &warm;
+
+  opts.active_seed = &small_seed;  // 1% <= 5%: local repair
+  const InfomapResult below = core::run_infomap_parallel(g, opts, 2);
+  EXPECT_EQ(below.levels, 1);
+  expect_pinned("warm below", below.codelength, below.communities,
+                0x1.96377accc4d9ap+3, 0x355a5c670b5fccefULL);
+
+  opts.active_seed = &large_seed;  // 10% > 5%: full hierarchy rebuild
+  const InfomapResult above = core::run_infomap_parallel(g, opts, 2);
+  EXPECT_GT(above.levels, 1);
+  expect_pinned("warm above", above.codelength, above.communities,
+                0x1.966345209a621p+3, 0xe0fbc756fd0aa277ULL);
+}
+
+TEST(RefactorPin, DistributedRanks) {
+  const graph::CsrGraph g = small_chung_lu(2439);
+  dist::DistOptions opts;
+  opts.num_ranks = 1;
+  const dist::DistResult one = dist::run_distributed_infomap(g, opts);
+  expect_pinned("dist 1 rank", one.codelength, one.communities,
+                0x1.556cf0441e7aap+3, 0x12a2f16d6d530f11ULL);
+  EXPECT_EQ(one.total_messages, 0u);
+  opts.num_ranks = 4;
+  const dist::DistResult four = dist::run_distributed_infomap(g, opts);
+  expect_pinned("dist 4 ranks", four.codelength, four.communities,
+                0x1.556cf0441e7aap+3, 0x12a2f16d6d530f11ULL);
+  // Message accounting is part of the superstep executor, pin it too.
+  EXPECT_EQ(four.levels, 4);
+  EXPECT_EQ(four.trace.size(), 29u);
+  EXPECT_EQ(four.total_messages, 245u);
+  EXPECT_EQ(four.total_bytes, 585776u);
 }
 
 }  // namespace
