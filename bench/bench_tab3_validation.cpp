@@ -4,7 +4,8 @@
 //             Baseline, single core, YouTube network (~12.7% avg error);
 //   Tab IV  — the same with 2 processing cores.
 //
-// "Native" here is the wall clock of the uninstrumented run on the host;
+// "Native" here is the wall clock of the uninstrumented run on the host
+// (per-iteration min of several runs, with their spread as noise floor);
 // "Baseline" is the cycle-model time at the configured 2.6 GHz clock.  The
 // host is not a 2.6 GHz Ivy Bridge, so unlike the paper the two columns are
 // not expected to agree absolutely; the reproduced content is the per-
@@ -20,55 +21,101 @@
 #include "asamap/benchutil/experiments.hpp"
 #include "asamap/benchutil/table.hpp"
 #include "asamap/sim/machine.hpp"
+#include "asamap/support/check.hpp"
 
 using namespace asamap;
 using benchutil::fmt;
 
 namespace {
 
-/// Level-0 sweep times from a result trace.
-std::vector<std::pair<double, double>> level0_times(
-    const core::InfomapResult& native, const core::InfomapResult& sim) {
-  std::vector<std::pair<double, double>> rows;
-  std::size_t i = 0, j = 0;
-  while (i < native.trace.size() && j < sim.trace.size()) {
-    if (native.trace[i].level != 0) break;
-    if (sim.trace[j].level != 0) break;
-    rows.emplace_back(native.trace[i].wall_seconds, sim.trace[j].sim_seconds);
-    ++i;
-    ++j;
+/// Native runs behind the native column.  One wall-clock run is too noisy
+/// to read a ratio drift from (one run's Tab. III drift read 8.5%, the next
+/// 16.0%, with a byte-identical simulated column), so the column is the
+/// per-iteration min over this many runs and the max-min spread is printed
+/// as its noise floor.
+constexpr int kNativeReps = 5;
+
+/// Per-iteration level-0 native sweep times: min and max over the reps.
+struct NativeColumn {
+  std::vector<double> min_seconds;
+  std::vector<double> max_seconds;
+};
+
+NativeColumn run_native_column(const graph::CsrGraph& g,
+                               const core::InfomapOptions& opts) {
+  NativeColumn col;
+  for (int rep = 0; rep < kNativeReps; ++rep) {
+    const core::InfomapResult r = benchutil::run_native(g, opts);
+    // The sweep decisions are deterministic, so every rep has the same
+    // trace rows; only their wall times differ.
+    if (rep == 0) {
+      for (const core::SweepTrace& st : r.trace) {
+        if (st.level != 0) break;
+        col.min_seconds.push_back(st.wall_seconds);
+        col.max_seconds.push_back(st.wall_seconds);
+      }
+      continue;
+    }
+    ASAMAP_CHECK(r.trace.size() >= col.min_seconds.size(),
+                 "native reps took different sweep sequences");
+    for (std::size_t i = 0; i < col.min_seconds.size(); ++i) {
+      const double t = r.trace[i].wall_seconds;
+      col.min_seconds[i] = std::min(col.min_seconds[i], t);
+      col.max_seconds[i] = std::max(col.max_seconds[i], t);
+    }
   }
-  return rows;
+  return col;
 }
 
-void print_validation(const core::InfomapResult& native,
+void print_validation(const NativeColumn& native,
                       const core::InfomapResult& sim, const char* title) {
   benchutil::banner(std::cout, title);
-  benchutil::Table t({"Iteration", "Native (s)", "Baseline sim (s)",
-                      "native/sim ratio", "ratio drift"});
-  const auto rows = level0_times(native, sim);
-  double ratio0 = rows.empty() || rows[0].second == 0
-                      ? 0.0
-                      : rows[0].first / rows[0].second;
+  benchutil::Table t({"Iteration", "Native min (s)", "Baseline sim (s)",
+                      "native/sim ratio", "ratio drift", "native noise"});
+  std::size_t rows = 0;
+  while (rows < native.min_seconds.size() && rows < sim.trace.size() &&
+         sim.trace[rows].level == 0) {
+    ++rows;
+  }
+  const auto ratio_of = [&](std::size_t i) {
+    return sim.trace[i].sim_seconds == 0
+               ? 0.0
+               : native.min_seconds[i] / sim.trace[i].sim_seconds;
+  };
+  const double ratio0 = rows == 0 ? 0.0 : ratio_of(0);
   double worst_drift = 0.0;
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const double ratio =
-        rows[i].second == 0 ? 0.0 : rows[i].first / rows[i].second;
-    const bool measurable = rows[i].second >= 1e-4;  // sub-0.1ms = noise
+  double worst_noise = 0.0;
+  for (std::size_t i = 0; i < rows; ++i) {
+    const double ratio = ratio_of(i);
+    const bool measurable = sim.trace[i].sim_seconds >= 1e-4;  // sub-0.1ms
     const double drift =
         ratio0 == 0.0 || !measurable ? 0.0
                                      : std::abs(ratio / ratio0 - 1.0) * 100.0;
-    if (measurable) worst_drift = std::max(worst_drift, drift);
-    t.add_row({std::to_string(i + 1), fmt(rows[i].first, 4),
-               fmt(rows[i].second, 4), fmt(ratio, 2),
-               measurable ? fmt(drift, 1) + "%" : "(noise)"});
+    // Noise floor: the spread of the native reps, relative to their min.
+    const double noise =
+        native.min_seconds[i] == 0.0
+            ? 0.0
+            : (native.max_seconds[i] - native.min_seconds[i]) /
+                  native.min_seconds[i] * 100.0;
+    if (measurable) {
+      worst_drift = std::max(worst_drift, drift);
+      worst_noise = std::max(worst_noise, noise);
+    }
+    t.add_row({std::to_string(i + 1), fmt(native.min_seconds[i], 4),
+               fmt(sim.trace[i].sim_seconds, 4), fmt(ratio, 2),
+               measurable ? fmt(drift, 1) + "%" : "(noise)",
+               fmt(noise, 1) + "%"});
   }
   t.print(std::cout);
   std::cout << "Per-iteration times fall monotonically in both columns; the\n"
                "native/sim ratio drifts at most "
             << fmt(worst_drift, 1)
             << "% from iteration 1 (the paper's native-vs-ZSim error was\n"
-               "10-16% on real 2.6 GHz hardware).\n";
+               "10-16% on real 2.6 GHz hardware).\nNative column: min of "
+            << kNativeReps
+            << " runs; their max-min spread (the noise floor) reaches "
+            << fmt(worst_noise, 1)
+            << "%,\nso a drift below that is not resolved.\n";
 }
 
 }  // namespace
@@ -103,8 +150,8 @@ int main() {
   opts.max_sweeps_per_level = 7;  // the paper lists 7 iterations
   opts.max_levels = 1;            // Tab III/IV measure the vertex level
 
-  // Native single core.
-  const auto native1 = benchutil::run_native(g, opts);
+  // Native single core, min of kNativeReps runs.
+  const NativeColumn native1 = run_native_column(g, opts);
 
   // Simulated Baseline, single core.
   benchutil::SimRunConfig cfg;

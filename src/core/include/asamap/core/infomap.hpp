@@ -1,23 +1,35 @@
 #pragma once
 
 /// \file infomap.hpp
-/// The multilevel Infomap driver — the four HyPC-Map kernels wired together:
+/// Multilevel Infomap: one level loop wiring the four HyPC-Map kernels
+/// together, level by level,
 ///
 ///   PageRank            -> build_flow (flow.hpp)
-///   FindBestCommunity   -> sweep loop over kernel.hpp, per level
-///   Convert2SuperNode   -> contract_network (flow.hpp)
+///   FindBestCommunity   -> a SweepExecutor's sweeps over kernel.hpp
+///   Convert2SuperNode   -> contract_network_parallel (flow.hpp)
 ///   UpdateMembers       -> composition of level partitions
 ///
-/// The driver is parameterized on a set of *workers*, each an (accumulator,
-/// event sink) pair bound to one simulated core; with a single
-/// NullSink-backed worker it is a plain fast community detector, with
-/// CoreModel-backed workers it is the paper's simulated Baseline or ASA
-/// configuration.
+/// Only the FindBestCommunity sweep differs between serial, threaded and
+/// distributed runs, so the loop (MultilevelRun / run_levels, infomap.cpp)
+/// is written once and takes a SweepExecutor:
+///
+///   SerialExecutor (here): a worker span with interleaved windows, for
+///     run_multilevel and run_infomap;
+///   ProposeVerifyExecutor (infomap.cpp): OpenMP propose/verify rounds, for
+///     run_infomap_parallel;
+///   dist::SuperstepExecutor (dist/distributed.hpp): stale-snapshot
+///     supersteps, for run_distributed_infomap and the live DCLUSTER steps.
+///
+/// Serial workers are (accumulator, event sink) pairs bound to one simulated
+/// core; with a single NullSink-backed worker the loop is a plain fast
+/// community detector, with CoreModel-backed workers it is the paper's
+/// simulated Baseline or ASA configuration.
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -144,45 +156,6 @@ inline const std::string kConvert2SuperNode = "Convert2SuperNode";
 inline const std::string kUpdateMembers = "UpdateMembers";
 }  // namespace kernels
 
-/// Publishes one finished run's summary counters and gauges into `reg`
-/// (no-op when null).  Shared by every driver so serial, parallel, and
-/// simulated runs report under the same names; kernel-phase histograms are
-/// recorded live by obs::KernelSpan, not here.
-inline void publish_run_metrics(const InfomapResult& result,
-                                obs::MetricRegistry* reg) {
-  if (reg == nullptr) return;
-  reg->counter("asamap_runs_total").inc();
-  if (result.interrupted) reg->counter("asamap_runs_interrupted_total").inc();
-  std::uint64_t moves = 0;
-  std::uint64_t sweeps = 0;
-  for (const SweepTrace& st : result.trace) {
-    moves += st.moves;
-    ++sweeps;
-  }
-  reg->counter("asamap_run_moves_total").inc(moves);
-  reg->counter("asamap_run_sweeps_total").inc(sweeps);
-  reg->counter("asamap_parallel_proposals_total")
-      .inc(result.breakdown.proposals);
-  reg->counter("asamap_parallel_replays_total").inc(result.breakdown.replays);
-  reg->counter("asamap_parallel_revalidations_total")
-      .inc(result.breakdown.revalidations);
-  reg->gauge("asamap_run_levels").set(static_cast<double>(result.levels));
-  reg->gauge("asamap_run_communities")
-      .set(static_cast<double>(result.num_communities));
-  reg->gauge("asamap_run_codelength_bits").set(result.codelength);
-  reg->gauge("asamap_kernel_prefetch_distance")
-      .set(static_cast<double>(kModulePrefetchDistance));
-  if (result.hotset.begins > 0) {
-    reg->counter("asamap_hotset_accumulates_total")
-        .inc(result.hotset.accumulates);
-    reg->counter("asamap_hotset_hits_total").inc(result.hotset.hot_hits());
-    reg->counter("asamap_hotset_spills_total").inc(result.hotset.spills);
-    reg->gauge("asamap_hotset_hit_rate").set(result.hotset.hit_rate());
-    reg->gauge("asamap_hotset_vertex_coverage")
-        .set(result.hotset.vertex_coverage());
-  }
-}
-
 /// Renumbers community ids to 0..k-1 in first-appearance order; returns k.
 inline std::size_t compact_communities(Partition& p) {
   VertexId max_id = 0;
@@ -214,21 +187,6 @@ inline void seed_active_set(const FlowNetwork& fn,
   }
 }
 
-/// Number of distinct community ids in a partition.
-inline std::size_t count_distinct_communities(const Partition& p) {
-  VertexId max_id = 0;
-  for (VertexId c : p) max_id = std::max(max_id, c);
-  std::vector<bool> seen(std::size_t{max_id} + 1, false);
-  std::size_t distinct = 0;
-  for (VertexId c : p) {
-    if (!seen[c]) {
-      seen[c] = true;
-      ++distinct;
-    }
-  }
-  return distinct;
-}
-
 /// A simulated core's view of the computation.
 template <FlowAccumulator Acc, sim::EventSink Sink>
 struct Worker {
@@ -236,77 +194,129 @@ struct Worker {
   Sink* sink = nullptr;
 };
 
-/// Multilevel Infomap over an arbitrary worker set.  Vertices of each level
-/// are range-partitioned across workers (HyPC-Map's distribution); blocks of
+/// True once another thread has set InfomapOptions::cancel.
+inline bool cancel_requested(const InfomapOptions& opts) {
+  return opts.cancel && opts.cancel->load(std::memory_order_relaxed);
+}
+
+/// One level of the multilevel loop as a sweep executor sees it: the level's
+/// network, its module state (swept in place), and where to record.
+struct LevelSweep {
+  int level = 0;
+  const FlowNetwork& fn;
+  ModuleState& state;
+  const LevelAddresses& addrs;
+  /// Non-null on the level-0 and refinement sweeps of a seeded warm run: the
+  /// first sweep activates only these vertices plus their 1-hop
+  /// neighborhood instead of every vertex.
+  const std::vector<VertexId>* seed = nullptr;
+  const InfomapOptions& opts;
+  const obs::KernelTimers& ktimers;
+  InfomapResult& result;
+};
+
+/// How one level's FindBestCommunity sweeps run: the vertex schedule, the
+/// recompute policy, the convergence and cancel checks, and the trace rows.
+/// Everything else — PageRank, warm start, compaction, UpdateMembers,
+/// Convert2SuperNode, the final codelength, refinement bookkeeping and
+/// metrics — is the one level loop in MultilevelRun.  Dispatch is per level,
+/// never per vertex.  Executors:
+///   - SerialExecutor (below): a worker span with interleaved windows;
+///   - ProposeVerifyExecutor (infomap.cpp), behind run_infomap_parallel;
+///   - dist::SuperstepExecutor (dist/distributed.hpp): stale-snapshot
+///     supersteps with message accounting.
+class SweepExecutor {
+ public:
+  SweepExecutor() = default;
+  SweepExecutor(const SweepExecutor&) = delete;
+  SweepExecutor& operator=(const SweepExecutor&) = delete;
+  virtual ~SweepExecutor() = default;
+  /// Team size for the loop's UpdateMembers and Convert2SuperNode kernels.
+  [[nodiscard]] virtual int threads() const { return 1; }
+  /// Sweeps `lv.state` until convergence, opts.max_sweeps_per_level, or a
+  /// cancel (which sets result.interrupted).  Leaves the state's aggregates
+  /// recomputed from scratch.
+  virtual void sweep_level(const LevelSweep& lv) = 0;
+  /// The refinement pass: up to opts.refine_sweeps vertex-level sweeps of
+  /// the original network, seeded with the final partition.  Returns the
+  /// moves made; leaves the aggregates recomputed.
+  virtual std::uint64_t refine(const LevelSweep& lv) = 0;
+  /// Folds per-worker counters into the result once the run ends.
+  virtual void fold(InfomapResult& /*result*/) {}
+};
+
+/// The multilevel loop's state between kernels.  run_levels drives it; the
+/// live distributed tier (dist::ShardSession) steps it one protocol message
+/// at a time.  Not copyable: kernel timers point into the owned result.
+class MultilevelRun {
+ public:
+  /// PageRank kernel: builds the flow network.  Call begin_level() next.
+  MultilevelRun(const graph::CsrGraph& g, const InfomapOptions& opts);
+  MultilevelRun(const MultilevelRun&) = delete;
+  MultilevelRun& operator=(const MultilevelRun&) = delete;
+
+  /// Fresh module state for the current level: singletons, or the warm
+  /// start partition at level 0.
+  void begin_level();
+  /// The current level as an executor sees it.
+  [[nodiscard]] LevelSweep current();
+  /// Ends the current level: compacts its partition, runs UpdateMembers,
+  /// then either contracts (Convert2SuperNode) and advances to the next
+  /// level (true), or reports the hierarchy done (false).
+  bool end_level(int threads);
+  /// Communities of the level end_level() last compacted.
+  [[nodiscard]] std::size_t level_communities() const { return communities_; }
+  /// Final level-0 codelength, refinement with hierarchy re-basing, counter
+  /// folding, and publish_run_metrics.  Ends the run.
+  InfomapResult finish(SweepExecutor& exec);
+
+  [[nodiscard]] const FlowNetwork& network() const { return *fn_; }
+  [[nodiscard]] ModuleState& state() { return *state_; }
+
+ private:
+  InfomapOptions opts_;
+  InfomapResult result_;
+  obs::KernelTimers ktimers_;  // resolved once; spans open allocation-free
+  // `original_` stays untouched for the final level-0 codelength and
+  // refinement.  Level 0 reads it directly; contracted levels swap in the
+  // owned supernode network — no O(E) FlowNetwork copy per run.
+  FlowNetwork original_;
+  FlowNetwork contracted_;
+  const FlowNetwork* fn_ = nullptr;
+  std::vector<VertexId> node_of_orig_;  ///< UpdateMembers: vertex -> node
+  hashdb::AddressSpace addr_space_;     ///< fresh simulated regions per run
+  LevelAddresses addrs_{};
+  std::optional<ModuleState> state_;
+  bool seeded_ = false;
+  bool local_repair_ = false;
+  int level_ = 0;
+  std::size_t communities_ = 0;
+};
+
+/// The one multilevel Infomap level loop — PageRank, then per level
+/// FindBestCommunity (through `exec`), UpdateMembers and Convert2SuperNode,
+/// then the final codelength and refinement.
+InfomapResult run_levels(const graph::CsrGraph& g, const InfomapOptions& opts,
+                         SweepExecutor& exec);
+
+/// Serial sweeps over an arbitrary worker set.  Vertices of each level are
+/// range-partitioned across workers (HyPC-Map's distribution); blocks of
 /// `interleave_block` vertices rotate across workers so a shared L3 in the
 /// sink sees interleaved footprints.  Moves apply to the shared ModuleState
 /// in processing order, so results are deterministic for a fixed worker
 /// count.
 template <FlowAccumulator Acc, sim::EventSink Sink>
-InfomapResult run_multilevel(const graph::CsrGraph& g,
-                             const InfomapOptions& opts,
-                             std::span<Worker<Acc, Sink>> workers) {
-  ASAMAP_CHECK(!workers.empty(), "need at least one worker");
-  InfomapResult result;
-  // Resolve every kernel-span sink (timer slots + histogram handles) once;
-  // the spans in the level loop then open/close allocation-free.
-  obs::KernelTimers ktimers(result.kernel_wall, opts.metrics);
-  const auto cancelled = [&opts] {
-    return opts.cancel && opts.cancel->load(std::memory_order_relaxed);
-  };
-
-  // --- PageRank kernel.  `original` stays untouched for the final
-  // level-0 codelength evaluation and refinement; `fn` is the working
-  // network that gets contracted level by level.
-  FlowNetwork original;
-  {
-    obs::KernelSpan span(ktimers, obs::KernelPhase::kPageRank);
-    original = build_flow(g, opts.flow);
+class SerialExecutor final : public SweepExecutor {
+ public:
+  explicit SerialExecutor(std::span<Worker<Acc, Sink>> workers)
+      : workers_(workers) {
+    ASAMAP_CHECK(!workers.empty(), "need at least one worker");
   }
-  // Level-0 reads `original` directly; contracted levels swap in the owned
-  // supernode network.  Saves a full O(E) FlowNetwork copy per run.
-  FlowNetwork contracted;
-  const FlowNetwork* fn = &original;
 
-  // UpdateMembers state: original vertex -> current-level node.
-  std::vector<VertexId> node_of_orig(g.num_vertices());
-  for (VertexId v = 0; v < g.num_vertices(); ++v) node_of_orig[v] = v;
-
-  // The proper one-level codelength is the entropy of node visit rates; a
-  // single module with zero exit gives exactly that.
-  result.one_level_codelength = one_level_codelength(original);
-
-  hashdb::AddressSpace level_addrs;  // fresh simulated regions per run
-  const KernelCosts costs;
-
-  const bool warm = opts.warm_start != nullptr;
-  const bool seeded = warm && opts.active_seed != nullptr;
-  // Local repair (see InfomapOptions::warm_local_repair_fraction): a small
-  // seeded perturbation converges at level 0; the coarse hierarchy the warm
-  // partition came from is still valid, so skip rebuilding it.
-  const bool local_repair =
-      seeded && opts.warm_local_repair_fraction > 0.0 &&
-      static_cast<double>(opts.active_seed->size()) <=
-          opts.warm_local_repair_fraction *
-              static_cast<double>(g.num_vertices());
-
-  for (int level = 0; level < opts.max_levels; ++level) {
-    ModuleState state = [&]() -> ModuleState {
-      if (level == 0 && warm) {
-        ASAMAP_CHECK(opts.warm_start->size() == fn->num_nodes(),
-                     "warm_start must have one entry per vertex");
-        Partition init = *opts.warm_start;
-        const std::size_t k = compact_communities(init);
-        return ModuleState(*fn, init, k);
-      }
-      return ModuleState(*fn);
-    }();
-    if (level == 0) result.initial_codelength = state.codelength();
-    const LevelAddresses addrs = LevelAddresses::for_network(*fn, level_addrs);
-    const VertexId n = fn->num_nodes();
-
+  void sweep_level(const LevelSweep& lv) override {
+    const VertexId n = lv.fn.num_nodes();
     // Per-worker contiguous ranges.
-    const std::uint32_t w = static_cast<std::uint32_t>(workers.size());
+    const std::uint32_t w = static_cast<std::uint32_t>(workers_.size());
     std::vector<VertexId> range_begin(w), range_end(w);
     for (std::uint32_t i = 0; i < w; ++i) {
       range_begin[i] = static_cast<VertexId>(std::uint64_t{n} * i / w);
@@ -318,27 +328,26 @@ InfomapResult run_multilevel(const graph::CsrGraph& g,
     // with the delta batch's touched vertices + 1-hop frontier.
     std::vector<std::uint8_t> active(n, 1);
     std::vector<std::uint8_t> next_active(n, 0);
-    if (level == 0 && seeded) seed_active_set(*fn, *opts.active_seed, active);
+    if (lv.seed != nullptr) seed_active_set(lv.fn, *lv.seed, active);
 
-    double prev_codelength = state.codelength();
-    int sweeps_done = 0;
-    for (int sweep = 0; sweep < opts.max_sweeps_per_level; ++sweep) {
-      if (cancelled()) {
-        result.interrupted = true;
+    double prev_codelength = lv.state.codelength();
+    for (int sweep = 0; sweep < lv.opts.max_sweeps_per_level; ++sweep) {
+      if (cancel_requested(lv.opts)) {
+        lv.result.interrupted = true;
         break;
       }
       SweepTrace st;
-      st.level = level;
+      st.level = lv.level;
       st.sweep = sweep;
       support::WallTimer sweep_wall;
       std::vector<double> worker_cycles_before(w);
       for (std::uint32_t i = 0; i < w; ++i) {
-        worker_cycles_before[i] = detail::cycles_of(*workers[i].sink);
+        worker_cycles_before[i] = detail::cycles_of(*workers_[i].sink);
       }
 
       std::uint64_t moves = 0;
       {
-        obs::KernelSpan span(ktimers, obs::KernelPhase::kFindBestCommunity);
+        obs::KernelSpan span(lv.ktimers, obs::KernelPhase::kFindBestCommunity);
         // Interleaved windows across workers.
         bool any_left = true;
         std::vector<VertexId> cursor(range_begin);
@@ -348,158 +357,111 @@ InfomapResult run_multilevel(const graph::CsrGraph& g,
             if (cursor[i] >= range_end[i]) continue;
             const VertexId stop =
                 static_cast<VertexId>(std::min<std::uint64_t>(
-                    std::uint64_t{cursor[i]} + opts.interleave_block,
+                    std::uint64_t{cursor[i]} + lv.opts.interleave_block,
                     range_end[i]));
-            moves += sweep_range(state, *fn, cursor[i], stop, *workers[i].acc,
-                                 *workers[i].sink, addrs, costs,
-                                 result.breakdown, opts.time_wall,
-                                 active.data(), next_active.data());
+            moves += sweep_range(lv.state, lv.fn, cursor[i], stop,
+                                 *workers_[i].acc, *workers_[i].sink, lv.addrs,
+                                 costs_, lv.result.breakdown,
+                                 lv.opts.time_wall, active.data(),
+                                 next_active.data());
             cursor[i] = stop;
             if (cursor[i] < range_end[i]) any_left = true;
           }
         }
       }
-      state.recompute();  // shed incremental floating-point drift
+      lv.state.recompute();  // shed incremental floating-point drift
 
       st.moves = moves;
-      st.codelength = state.codelength();
+      st.codelength = lv.state.codelength();
       st.wall_seconds = sweep_wall.seconds();
       double worst = 0.0;
       for (std::uint32_t i = 0; i < w; ++i) {
         const double dc =
-            detail::cycles_of(*workers[i].sink) - worker_cycles_before[i];
-        if constexpr (requires { workers[0].sink->config(); }) {
+            detail::cycles_of(*workers_[i].sink) - worker_cycles_before[i];
+        if constexpr (requires { workers_[0].sink->config(); }) {
           worst = std::max(
-              worst, dc / (workers[i].sink->config().frequency_ghz * 1e9));
+              worst, dc / (workers_[i].sink->config().frequency_ghz * 1e9));
         }
       }
       st.sim_seconds = worst;
-      result.trace.push_back(st);
-      ++sweeps_done;
+      lv.result.trace.push_back(st);
 
-      if (moves == 0 ||
-          prev_codelength - state.codelength() < opts.min_improvement_bits) {
+      if (moves == 0 || prev_codelength - lv.state.codelength() <
+                            lv.opts.min_improvement_bits) {
         break;
       }
-      prev_codelength = state.codelength();
+      prev_codelength = lv.state.codelength();
       active.swap(next_active);
       std::fill(next_active.begin(), next_active.end(), 0);
     }
-    (void)sweeps_done;
+  }
 
-    // Compact the level partition.
-    Partition assignment = state.assignment();
-    std::vector<VertexId> relabel(fn->num_nodes(), graph::kInvalidVertex);
-    VertexId next_id = 0;
-    for (VertexId v = 0; v < n; ++v) {
-      VertexId& slot = relabel[assignment[v]];
-      if (slot == graph::kInvalidVertex) slot = next_id++;
-      assignment[v] = slot;
+  std::uint64_t refine(const LevelSweep& lv) override {
+    // Incremental runs confine refinement to the same seeded active set
+    // (plus whatever the move wavefront reaches) — a full-vertex refinement
+    // would erase the active-set speedup.
+    const VertexId n = lv.fn.num_nodes();
+    std::vector<std::uint8_t> refine_active;
+    std::vector<std::uint8_t> refine_next;
+    if (lv.seed != nullptr) {
+      refine_active.assign(n, 0);
+      refine_next.assign(n, 0);
+      seed_active_set(lv.fn, *lv.seed, refine_active);
     }
-    const std::size_t k = next_id;
-
-    // UpdateMembers kernel: propagate to original vertices.
-    {
-      obs::KernelSpan span(ktimers, obs::KernelPhase::kUpdateMembers);
-      for (VertexId v = 0; v < g.num_vertices(); ++v) {
-        node_of_orig[v] = assignment[node_of_orig[v]];
+    std::uint64_t refine_moves = 0;
+    for (int sweep = 0; sweep < lv.opts.refine_sweeps; ++sweep) {
+      if (cancel_requested(lv.opts)) {
+        lv.result.interrupted = true;
+        break;
+      }
+      std::uint64_t moves = 0;
+      const std::uint32_t w = static_cast<std::uint32_t>(workers_.size());
+      for (std::uint32_t i = 0; i < w; ++i) {
+        const auto first = static_cast<VertexId>(std::uint64_t{n} * i / w);
+        const auto last =
+            static_cast<VertexId>(std::uint64_t{n} * (i + 1) / w);
+        moves += sweep_range(lv.state, lv.fn, first, last, *workers_[i].acc,
+                             *workers_[i].sink, lv.addrs, costs_,
+                             lv.result.breakdown, lv.opts.time_wall,
+                             lv.seed ? refine_active.data() : nullptr,
+                             lv.seed ? refine_next.data() : nullptr);
+      }
+      lv.state.recompute();
+      refine_moves += moves;
+      if (moves == 0) break;
+      if (lv.seed != nullptr) {
+        refine_active.swap(refine_next);
+        std::fill(refine_next.begin(), refine_next.end(), 0);
       }
     }
+    return refine_moves;
+  }
 
-    result.level_assignments.push_back(assignment);
-    result.codelength = state.codelength();
-    result.levels = level + 1;
-
-    if (level == 0 && local_repair) break;
-    if (k == n || k <= 1) break;  // no aggregation or fully merged: done
-    if (result.interrupted) break;
-
-    // Convert2SuperNode kernel.
-    {
-      obs::KernelSpan span(ktimers, obs::KernelPhase::kConvert2SuperNode);
-      contracted = contract_network(*fn, assignment, k);
-      fn = &contracted;
+  void fold(InfomapResult& result) override {
+    if constexpr (requires { workers_[0].acc->hot_stats(); }) {
+      for (const Worker<Acc, Sink>& w : workers_) {
+        result.hotset += w.acc->hot_stats();
+      }
+    } else {
+      (void)result;
     }
   }
 
-  result.communities = std::move(node_of_orig);
-  result.num_communities = compact_communities(result.communities);
+ private:
+  std::span<Worker<Acc, Sink>> workers_;
+  const KernelCosts costs_;
+};
 
-  // --- Final codelength, evaluated over the *original* network.  The
-  // coarse-level values recorded in the trace omit the (level-constant)
-  // leaf-entropy term, so only a level-0 evaluation yields the true
-  // two-level map-equation value of the final partition.
-  if (local_repair) {
-    // The level-0 state lived on the original network and was recomputed
-    // after its last sweep — result.codelength already holds the true
-    // two-level value, and the seeded re-sweep converged over the active
-    // set, so refinement would only re-walk the same vertices.
-  } else {
-    ModuleState state(original, result.communities, result.num_communities);
-    result.codelength = state.codelength();
-
-    // Refinement (fine-tuning): vertex-level sweeps seeded with the final
-    // partition correct vertices that were dragged along with their
-    // supernode into a suboptimal module.  Greedy moves only ever improve.
-    if (opts.refine_sweeps > 0 && result.levels > 1 &&
-        result.num_communities > 1 && !result.interrupted) {
-      obs::KernelSpan span(ktimers, obs::KernelPhase::kFindBestCommunity);
-      const LevelAddresses addrs =
-          LevelAddresses::for_network(original, level_addrs);
-      // Incremental runs confine refinement to the same seeded active set
-      // (plus whatever the move wavefront reaches) — a full-vertex
-      // refinement would erase the active-set speedup.
-      std::vector<std::uint8_t> refine_active;
-      std::vector<std::uint8_t> refine_next;
-      if (seeded) {
-        refine_active.assign(g.num_vertices(), 0);
-        refine_next.assign(g.num_vertices(), 0);
-        seed_active_set(original, *opts.active_seed, refine_active);
-      }
-      std::uint64_t refine_moves = 0;
-      for (int sweep = 0; sweep < opts.refine_sweeps; ++sweep) {
-        if (cancelled()) {
-          result.interrupted = true;
-          break;
-        }
-        std::uint64_t moves = 0;
-        const std::uint32_t w = static_cast<std::uint32_t>(workers.size());
-        for (std::uint32_t i = 0; i < w; ++i) {
-          const auto first = static_cast<VertexId>(
-              std::uint64_t{g.num_vertices()} * i / w);
-          const auto last = static_cast<VertexId>(
-              std::uint64_t{g.num_vertices()} * (i + 1) / w);
-          moves += sweep_range(state, original, first, last, *workers[i].acc,
-                               *workers[i].sink, addrs, costs,
-                               result.breakdown, opts.time_wall,
-                               seeded ? refine_active.data() : nullptr,
-                               seeded ? refine_next.data() : nullptr);
-        }
-        state.recompute();
-        refine_moves += moves;
-        if (moves == 0) break;
-        if (seeded) {
-          refine_active.swap(refine_next);
-          std::fill(refine_next.begin(), refine_next.end(), 0);
-        }
-      }
-
-      if (refine_moves > 0 && state.codelength() < result.codelength) {
-        // Adopt the refined partition; re-base the hierarchy to this flat
-        // level (see the level_assignments doc comment).
-        Partition flat = state.assignment();
-        result.num_communities = compact_communities(flat);
-        result.communities = flat;
-        result.codelength = state.codelength();
-        result.level_assignments = {std::move(flat)};
-      }
-    }
-  }
-  if constexpr (requires { workers[0].acc->hot_stats(); }) {
-    for (const Worker<Acc, Sink>& w : workers) result.hotset += w.acc->hot_stats();
-  }
-  publish_run_metrics(result, opts.metrics);
-  return result;
+/// Multilevel Infomap over an arbitrary worker set (SerialExecutor).  With a
+/// single NullSink-backed worker it is a plain fast community detector, with
+/// CoreModel-backed workers it is the paper's simulated Baseline or ASA
+/// configuration.
+template <FlowAccumulator Acc, sim::EventSink Sink>
+InfomapResult run_multilevel(const graph::CsrGraph& g,
+                             const InfomapOptions& opts,
+                             std::span<Worker<Acc, Sink>> workers) {
+  SerialExecutor<Acc, Sink> exec(workers);
+  return run_levels(g, opts, exec);
 }
 
 /// Which accumulation engine a convenience run should use.

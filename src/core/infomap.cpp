@@ -3,6 +3,7 @@
 #include <omp.h>
 
 #include <algorithm>
+#include <numeric>
 
 #include "asamap/asa/accumulator.hpp"
 #include "asamap/core/dense_accumulator.hpp"
@@ -14,6 +15,192 @@ namespace asamap::core {
 
 namespace {
 
+/// Publishes one finished run's summary counters and gauges into `reg`
+/// (no-op when null), under the same names for every executor; kernel-phase
+/// histograms are recorded live by obs::KernelSpan, not here.
+void publish_run_metrics(const InfomapResult& result,
+                         obs::MetricRegistry* reg) {
+  if (reg == nullptr) return;
+  reg->counter("asamap_runs_total").inc();
+  if (result.interrupted) reg->counter("asamap_runs_interrupted_total").inc();
+  std::uint64_t moves = 0;
+  std::uint64_t sweeps = 0;
+  for (const SweepTrace& st : result.trace) {
+    moves += st.moves;
+    ++sweeps;
+  }
+  reg->counter("asamap_run_moves_total").inc(moves);
+  reg->counter("asamap_run_sweeps_total").inc(sweeps);
+  reg->counter("asamap_parallel_proposals_total")
+      .inc(result.breakdown.proposals);
+  reg->counter("asamap_parallel_replays_total").inc(result.breakdown.replays);
+  reg->counter("asamap_parallel_revalidations_total")
+      .inc(result.breakdown.revalidations);
+  reg->gauge("asamap_run_levels").set(static_cast<double>(result.levels));
+  reg->gauge("asamap_run_communities")
+      .set(static_cast<double>(result.num_communities));
+  reg->gauge("asamap_run_codelength_bits").set(result.codelength);
+  reg->gauge("asamap_kernel_prefetch_distance")
+      .set(static_cast<double>(kModulePrefetchDistance));
+  if (result.hotset.begins > 0) {
+    reg->counter("asamap_hotset_accumulates_total")
+        .inc(result.hotset.accumulates);
+    reg->counter("asamap_hotset_hits_total").inc(result.hotset.hot_hits());
+    reg->counter("asamap_hotset_spills_total").inc(result.hotset.spills);
+    reg->gauge("asamap_hotset_hit_rate").set(result.hotset.hit_rate());
+    reg->gauge("asamap_hotset_vertex_coverage")
+        .set(result.hotset.vertex_coverage());
+  }
+}
+
+}  // namespace
+
+// --- The level loop --------------------------------------------------------
+
+MultilevelRun::MultilevelRun(const graph::CsrGraph& g,
+                             const InfomapOptions& opts)
+    : opts_(opts), ktimers_(result_.kernel_wall, opts.metrics) {
+  {
+    obs::KernelSpan span(ktimers_, obs::KernelPhase::kPageRank);
+    original_ = build_flow(g, opts_.flow);
+  }
+  fn_ = &original_;
+  node_of_orig_.resize(g.num_vertices());
+  std::iota(node_of_orig_.begin(), node_of_orig_.end(), VertexId{0});
+  // The proper one-level codelength is the entropy of node visit rates; a
+  // single module with zero exit gives exactly that.
+  result_.one_level_codelength = one_level_codelength(original_);
+
+  seeded_ = opts_.warm_start != nullptr && opts_.active_seed != nullptr;
+  // Local repair (see InfomapOptions::warm_local_repair_fraction): a small
+  // seeded perturbation converges at level 0; the coarse hierarchy the warm
+  // partition came from is still valid, so skip rebuilding it.
+  local_repair_ = seeded_ && opts_.warm_local_repair_fraction > 0.0 &&
+                  static_cast<double>(opts_.active_seed->size()) <=
+                      opts_.warm_local_repair_fraction *
+                          static_cast<double>(g.num_vertices());
+}
+
+void MultilevelRun::begin_level() {
+  if (level_ == 0 && opts_.warm_start != nullptr) {
+    ASAMAP_CHECK(opts_.warm_start->size() == fn_->num_nodes(),
+                 "warm_start must have one entry per vertex");
+    Partition init = *opts_.warm_start;
+    const std::size_t k = compact_communities(init);
+    state_.emplace(*fn_, init, k);
+  } else {
+    state_.emplace(*fn_);
+  }
+  if (level_ == 0) result_.initial_codelength = state_->codelength();
+  addrs_ = LevelAddresses::for_network(*fn_, addr_space_);
+}
+
+LevelSweep MultilevelRun::current() {
+  const std::vector<VertexId>* seed =
+      level_ == 0 && seeded_ ? opts_.active_seed : nullptr;
+  return {level_, *fn_, *state_, addrs_, seed, opts_, ktimers_, result_};
+}
+
+bool MultilevelRun::end_level(int threads) {
+  const VertexId n = fn_->num_nodes();
+  Partition assignment = state_->assignment();
+  communities_ = compact_communities(assignment);
+
+  // UpdateMembers kernel: propagate to original vertices.
+  {
+    obs::KernelSpan span(ktimers_, obs::KernelPhase::kUpdateMembers);
+    const auto nv = static_cast<std::int64_t>(node_of_orig_.size());
+    support::tsan_release(&node_of_orig_);
+#pragma omp parallel num_threads(threads)
+    {
+      support::tsan_acquire(&node_of_orig_);
+#pragma omp for schedule(static) nowait
+      for (std::int64_t vi = 0; vi < nv; ++vi) {
+        node_of_orig_[vi] = assignment[node_of_orig_[vi]];
+      }
+      support::omp_barrier_sync(&node_of_orig_);
+    }
+  }
+
+  result_.level_assignments.push_back(assignment);
+  result_.codelength = state_->codelength();
+  result_.levels = level_ + 1;
+  if (level_ == 0 && local_repair_) return false;
+  // No aggregation or fully merged: done.
+  if (communities_ == n || communities_ <= 1) return false;
+  if (result_.interrupted) return false;
+
+  // Convert2SuperNode kernel (the serial contraction at 1 thread).
+  {
+    obs::KernelSpan span(ktimers_, obs::KernelPhase::kConvert2SuperNode);
+    contracted_ =
+        contract_network_parallel(*fn_, assignment, communities_, threads);
+    fn_ = &contracted_;
+  }
+  ++level_;
+  return true;
+}
+
+InfomapResult MultilevelRun::finish(SweepExecutor& exec) {
+  result_.communities = std::move(node_of_orig_);
+  result_.num_communities = compact_communities(result_.communities);
+
+  // --- Final codelength, evaluated over the *original* network.  The
+  // coarse-level values recorded in the trace omit the (level-constant)
+  // leaf-entropy term, so only a level-0 evaluation yields the true
+  // two-level map-equation value of the final partition.  Local repair
+  // skips both: its level-0 state lived on the original network and was
+  // recomputed after its last sweep, so result.codelength already holds
+  // the true value, and the seeded re-sweep converged over the active set,
+  // so refinement would only re-walk the same vertices.
+  if (!local_repair_) {
+    ModuleState state(original_, result_.communities,
+                      result_.num_communities);
+    result_.codelength = state.codelength();
+
+    // Refinement (fine-tuning): vertex-level sweeps seeded with the final
+    // partition correct vertices that were dragged along with their
+    // supernode into a suboptimal module.  Greedy moves only ever improve.
+    if (opts_.refine_sweeps > 0 && result_.levels > 1 &&
+        result_.num_communities > 1 && !result_.interrupted) {
+      obs::KernelSpan span(ktimers_, obs::KernelPhase::kFindBestCommunity);
+      const LevelAddresses addrs =
+          LevelAddresses::for_network(original_, addr_space_);
+      const std::uint64_t refine_moves = exec.refine(
+          LevelSweep{result_.levels, original_, state, addrs,
+                     seeded_ ? opts_.active_seed : nullptr, opts_, ktimers_,
+                     result_});
+      if (refine_moves > 0 && state.codelength() < result_.codelength) {
+        // Adopt the refined partition; re-base the hierarchy to this flat
+        // level (see the level_assignments doc comment).
+        Partition flat = state.assignment();
+        result_.num_communities = compact_communities(flat);
+        result_.communities = flat;
+        result_.codelength = state.codelength();
+        result_.level_assignments = {std::move(flat)};
+      }
+    }
+  }
+  exec.fold(result_);
+  publish_run_metrics(result_, opts_.metrics);
+  return std::move(result_);
+}
+
+InfomapResult run_levels(const graph::CsrGraph& g, const InfomapOptions& opts,
+                         SweepExecutor& exec) {
+  MultilevelRun run(g, opts);
+  for (int level = 0; level < opts.max_levels; ++level) {
+    run.begin_level();
+    exec.sweep_level(run.current());
+    if (!run.end_level(exec.threads())) break;
+  }
+  return run.finish(exec);
+}
+
+// --- Executors -------------------------------------------------------------
+
+namespace {
+
 template <typename Acc>
 InfomapResult run_single(const graph::CsrGraph& g, const InfomapOptions& opts,
                          Acc& acc, sim::NullSink& sink) {
@@ -21,9 +208,8 @@ InfomapResult run_single(const graph::CsrGraph& g, const InfomapOptions& opts,
   return run_multilevel(g, opts, std::span(&worker, 1));
 }
 
-/// Everything the parallel driver's FindBestCommunity needs, allocated once
-/// at level-0 size and reused across sweeps, levels, and the refinement
-/// pass.  Per-thread entries are cache-line padded — the proposal loop
+/// Everything the propose/verify executor needs, allocated once at level-0
+/// size and reused across sweeps, levels, and the refinement pass.  Per-thread entries are cache-line padded — the proposal loop
 /// updates its thread's accumulator and breakdown on every vertex, and
 /// without padding those updates would ping-pong shared lines.
 /// Parameterized on the native accumulation engine (FlatAccumulator or
@@ -46,19 +232,23 @@ struct ParallelWorkspace {
   obs::PerThread<KernelBreakdown> breakdowns;
   obs::PerThread<double> propose_seconds;
 
-  ParallelWorkspace(int num_threads, VertexId n)
+  explicit ParallelWorkspace(int num_threads)
       : threads(num_threads),
-        active(n, 1),
-        next_active(n, 0),
-        flagged(n, 0),
-        proposals(n),
-        stamp(n, 0),
         accs(static_cast<std::size_t>(num_threads)),
         breakdowns(num_threads),
         propose_seconds(num_threads) {}
 
-  /// Re-arms the first n entries for a fresh level or refinement pass.
+  /// Re-arms the first n entries for a fresh level or refinement pass.  The
+  /// first call (level 0, the largest level) sizes the buffers, after the
+  /// flow build has released its temporaries.
   void reset(VertexId n) {
+    if (active.size() < n) {
+      active.resize(n);
+      next_active.resize(n);
+      flagged.resize(n);
+      proposals.resize(n);
+      stamp.resize(n);
+    }
     std::fill_n(active.begin(), n, std::uint8_t{1});
     std::fill_n(next_active.begin(), n, std::uint8_t{0});
     std::fill_n(flagged.begin(), n, std::uint8_t{0});
@@ -88,7 +278,8 @@ struct ParallelWorkspace {
 /// its two barriers.
 constexpr VertexId kRound = 1024;
 
-/// Runs propose/verify sweeps on `state` until convergence or `max_sweeps`.
+/// Runs propose/verify sweeps on `state` until convergence or `max_sweeps`,
+/// from a workspace the caller has reset for this level.
 ///
 /// One OpenMP region spans *all* sweeps.  Each sweep walks the vertex ids in
 /// fixed rounds of kRound vertices; per round:
@@ -112,21 +303,21 @@ constexpr VertexId kRound = 1024;
 /// count.
 ///
 /// Returns total moves; appends per-sweep traces when `record_trace`.
-/// When `seed` is non-null the first sweep activates only those vertices
+/// When `lv.seed` is non-null the first sweep activates only those vertices
 /// plus their 1-hop neighborhood (the incremental re-sweep of a delta
 /// batch) instead of every vertex; activation then propagates from movers
 /// exactly as in the full case.
 template <typename Acc>
-std::uint64_t parallel_sweeps(ModuleState& state, const FlowNetwork& fn,
-                              const InfomapOptions& opts, int max_sweeps,
-                              int level, const LevelAddresses& addrs,
+std::uint64_t parallel_sweeps(const LevelSweep& lv, int max_sweeps,
                               const KernelCosts& costs,
-                              ParallelWorkspace<Acc>& ws,
-                              InfomapResult& result, bool record_trace,
-                              const std::vector<VertexId>* seed = nullptr) {
+                              ParallelWorkspace<Acc>& ws, bool record_trace) {
+  ModuleState& state = lv.state;
+  const FlowNetwork& fn = lv.fn;
+  const InfomapOptions& opts = lv.opts;
+  const LevelAddresses& addrs = lv.addrs;
+  InfomapResult& result = lv.result;
   const VertexId n = fn.num_nodes();
-  ws.reset(n);
-  if (seed != nullptr) seed_active_set(fn, *seed, ws.active);
+  if (lv.seed != nullptr) seed_active_set(fn, *lv.seed, ws.active);
   sim::NullSink sink;  // stateless: sharing across threads is race-free
 
   std::uint64_t epoch = 0;        // applied-move counter (phase 2 only)
@@ -142,7 +333,7 @@ std::uint64_t parallel_sweeps(ModuleState& state, const FlowNetwork& fn,
     total_moves += moves;
     if (record_trace) {
       SweepTrace st;
-      st.level = level;
+      st.level = lv.level;
       st.sweep = sweep;
       st.moves = moves;
       st.codelength = state.codelength();
@@ -158,7 +349,7 @@ std::uint64_t parallel_sweeps(ModuleState& state, const FlowNetwork& fn,
       done = true;
     }
     // Cooperative cancellation, checked once per sweep.
-    if (opts.cancel && opts.cancel->load(std::memory_order_relaxed)) {
+    if (cancel_requested(opts)) {
       done = true;
       result.interrupted = true;
     }
@@ -265,6 +456,52 @@ std::uint64_t parallel_sweeps(ModuleState& state, const FlowNetwork& fn,
   return total_moves;
 }
 
+/// Propose/verify executor (RelaxMap-style relaxed concurrency, made
+/// deterministic): parallel_sweeps over one workspace reused by every level
+/// and the refinement pass.
+template <typename Acc>
+class ProposeVerifyExecutor final : public SweepExecutor {
+ public:
+  explicit ProposeVerifyExecutor(int threads) : ws_(threads) {}
+
+  [[nodiscard]] int threads() const override { return ws_.threads; }
+
+  void sweep_level(const LevelSweep& lv) override {
+    ws_.reset(lv.fn.num_nodes());  // sizes the buffers at level 0
+    {
+      obs::KernelSpan span(lv.ktimers, obs::KernelPhase::kFindBestCommunity);
+      parallel_sweeps(lv, lv.opts.max_sweeps_per_level, costs_, ws_,
+                      /*record_trace=*/true);
+    }
+    // Incremental aggregates carry the whole level; one recompute here
+    // sheds the accumulated floating-point drift before the partition is
+    // extracted.
+    lv.state.recompute();
+  }
+
+  std::uint64_t refine(const LevelSweep& lv) override {
+    ws_.reset(lv.fn.num_nodes());
+    const std::uint64_t moves = parallel_sweeps(
+        lv, lv.opts.refine_sweeps, costs_, ws_, /*record_trace=*/false);
+    lv.state.recompute();
+    return moves;
+  }
+
+  void fold(InfomapResult& result) override {
+    // The per-thread proposal-phase breakdowns (the serial verify/apply
+    // phase charged result.breakdown directly).
+    ws_.breakdowns.fold(result.breakdown,
+                        [](KernelBreakdown& into, const KernelBreakdown& bd) {
+                          into += bd;
+                        });
+    ws_.fold_hot_stats(result);
+  }
+
+ private:
+  const KernelCosts costs_;
+  ParallelWorkspace<Acc> ws_;
+};
+
 }  // namespace
 
 InfomapResult run_infomap(const graph::CsrGraph& g, const InfomapOptions& opts,
@@ -300,164 +537,6 @@ InfomapResult run_infomap(const graph::CsrGraph& g, const InfomapOptions& opts,
   return run_single(g, opts, acc, sink);
 }
 
-namespace {
-
-/// The parallel driver body, parameterized on the native engine.
-template <typename Acc>
-InfomapResult run_parallel_impl(const graph::CsrGraph& g,
-                                const InfomapOptions& opts, int num_threads) {
-  InfomapResult result;
-  // Resolve every kernel-span sink (timer slots + histogram handles) once;
-  // the spans in the level loop then open/close allocation-free.
-  obs::KernelTimers ktimers(result.kernel_wall, opts.metrics);
-  FlowNetwork original;
-  {
-    obs::KernelSpan span(ktimers, obs::KernelPhase::kPageRank);
-    original = build_flow(g, opts.flow);
-  }
-  // Level-0 reads `original` directly; contracted levels swap in the owned
-  // supernode network.  Saves a full O(E) FlowNetwork copy per run.
-  FlowNetwork contracted;
-  const FlowNetwork* fn = &original;
-
-  std::vector<VertexId> node_of_orig(g.num_vertices());
-  for (VertexId v = 0; v < g.num_vertices(); ++v) node_of_orig[v] = v;
-
-  result.one_level_codelength = one_level_codelength(original);
-
-  const KernelCosts costs;
-  hashdb::AddressSpace addrs_space;
-  ParallelWorkspace<Acc> ws(num_threads, original.num_nodes());
-
-  const bool warm = opts.warm_start != nullptr;
-  const bool seeded = warm && opts.active_seed != nullptr;
-  // Local repair (see InfomapOptions::warm_local_repair_fraction): a small
-  // seeded perturbation converges at level 0; the coarse hierarchy the warm
-  // partition came from is still valid, so skip rebuilding it.
-  const bool local_repair =
-      seeded && opts.warm_local_repair_fraction > 0.0 &&
-      static_cast<double>(opts.active_seed->size()) <=
-          opts.warm_local_repair_fraction *
-              static_cast<double>(g.num_vertices());
-
-  for (int level = 0; level < opts.max_levels; ++level) {
-    ModuleState state = [&]() -> ModuleState {
-      if (level == 0 && warm) {
-        ASAMAP_CHECK(opts.warm_start->size() == fn->num_nodes(),
-                     "warm_start must have one entry per vertex");
-        Partition init = *opts.warm_start;
-        const std::size_t k = compact_communities(init);
-        return ModuleState(*fn, init, k);
-      }
-      return ModuleState(*fn);
-    }();
-    if (level == 0) result.initial_codelength = state.codelength();
-    const LevelAddresses addrs = LevelAddresses::for_network(*fn, addrs_space);
-    const VertexId n = fn->num_nodes();
-
-    {
-      obs::KernelSpan span(ktimers, obs::KernelPhase::kFindBestCommunity);
-      parallel_sweeps(state, *fn, opts, opts.max_sweeps_per_level, level,
-                      addrs, costs, ws, result, /*record_trace=*/true,
-                      level == 0 && seeded ? opts.active_seed : nullptr);
-    }
-    // Incremental aggregates carry the whole level; one recompute here
-    // sheds the accumulated floating-point drift before the partition is
-    // extracted (the seed recomputed every sweep — O(n) per sweep gone).
-    state.recompute();
-
-    Partition assignment = state.assignment();
-    std::vector<VertexId> relabel(fn->num_nodes(), graph::kInvalidVertex);
-    VertexId next_id = 0;
-    for (VertexId v = 0; v < n; ++v) {
-      VertexId& slot = relabel[assignment[v]];
-      if (slot == graph::kInvalidVertex) slot = next_id++;
-      assignment[v] = slot;
-    }
-    const std::size_t k = next_id;
-
-    {
-      obs::KernelSpan span(ktimers, obs::KernelPhase::kUpdateMembers);
-      const auto nv = static_cast<std::int64_t>(g.num_vertices());
-      support::tsan_release(&node_of_orig);
-#pragma omp parallel num_threads(num_threads)
-      {
-        support::tsan_acquire(&node_of_orig);
-#pragma omp for schedule(static) nowait
-        for (std::int64_t vi = 0; vi < nv; ++vi) {
-          node_of_orig[vi] = assignment[node_of_orig[vi]];
-        }
-        support::omp_barrier_sync(&node_of_orig);
-      }
-    }
-
-    result.level_assignments.push_back(assignment);
-    result.codelength = state.codelength();
-    result.levels = level + 1;
-    if (level == 0 && local_repair) break;
-    if (k == n || k <= 1) break;
-    if (result.interrupted) break;
-
-    {
-      obs::KernelSpan span(ktimers, obs::KernelPhase::kConvert2SuperNode);
-      contracted = contract_network_parallel(*fn, assignment, k, num_threads);
-      fn = &contracted;
-    }
-  }
-
-  result.communities = std::move(node_of_orig);
-  result.num_communities = compact_communities(result.communities);
-  if (local_repair) {
-    // The level-0 state lived on the original network and was recomputed
-    // after its last sweep, so result.codelength already holds the true
-    // two-level value — no final re-evaluation, and the level-0 re-sweep
-    // already converged over the active set, so refinement would only
-    // re-walk the same vertices.
-  } else {
-    // True level-0 codelength of the final partition (coarse-level values
-    // omit the leaf-entropy constant; see run_multilevel).
-    ModuleState final_state(original, result.communities,
-                            result.num_communities);
-    result.codelength = final_state.codelength();
-
-    // Refinement (fine-tuning), same propose/verify scheme on the original
-    // network seeded with the final partition — see run_multilevel for the
-    // rationale and the hierarchy re-basing rule.
-    if (opts.refine_sweeps > 0 && result.levels > 1 &&
-        result.num_communities > 1 && !result.interrupted) {
-      obs::KernelSpan span(ktimers, obs::KernelPhase::kFindBestCommunity);
-      const LevelAddresses addrs =
-          LevelAddresses::for_network(original, addrs_space);
-      // Incremental runs confine refinement to the seeded active set too —
-      // a full-vertex refinement would erase the active-set speedup.
-      const std::uint64_t refine_moves = parallel_sweeps(
-          final_state, original, opts, opts.refine_sweeps, result.levels,
-          addrs, costs, ws, result, /*record_trace=*/false,
-          seeded ? opts.active_seed : nullptr);
-      final_state.recompute();
-      if (refine_moves > 0 && final_state.codelength() < result.codelength) {
-        Partition flat = final_state.assignment();
-        result.num_communities = compact_communities(flat);
-        result.communities = flat;
-        result.codelength = final_state.codelength();
-        result.level_assignments = {std::move(flat)};
-      }
-    }
-  }
-
-  // Fold the per-thread proposal-phase breakdowns into the result (the
-  // serial verify/apply phase charged result.breakdown directly).
-  ws.breakdowns.fold(result.breakdown,
-                     [](KernelBreakdown& into, const KernelBreakdown& bd) {
-                       into += bd;
-                     });
-  ws.fold_hot_stats(result);
-  publish_run_metrics(result, opts.metrics);
-  return result;
-}
-
-}  // namespace
-
 InfomapResult run_infomap_parallel(const graph::CsrGraph& g,
                                    const InfomapOptions& opts, int num_threads,
                                    AccumulatorKind kind) {
@@ -466,10 +545,12 @@ InfomapResult run_infomap_parallel(const graph::CsrGraph& g,
       kind == AccumulatorKind::kFlat || kind == AccumulatorKind::kHotSet,
       "run_infomap_parallel supports only the native engines (flat/hotset); "
       "instrumented kinds need the sequential simulated driver");
-  return kind == AccumulatorKind::kFlat
-             ? run_parallel_impl<hashdb::FlatAccumulator>(g, opts, num_threads)
-             : run_parallel_impl<hashdb::HotSetAccumulator>(g, opts,
-                                                            num_threads);
+  if (kind == AccumulatorKind::kFlat) {
+    ProposeVerifyExecutor<hashdb::FlatAccumulator> exec(num_threads);
+    return run_levels(g, opts, exec);
+  }
+  ProposeVerifyExecutor<hashdb::HotSetAccumulator> exec(num_threads);
+  return run_levels(g, opts, exec);
 }
 
 }  // namespace asamap::core

@@ -32,9 +32,11 @@
 ///                                    precision
 ///   DCLUSTER BEGIN|PROPOSE|APPLY|LEVEL|COMMIT|ABORT <g> ...
 ///                                    one shard's half of the distributed
-///                                    clustering superstep protocol (the
-///                                    live form of run_distributed_infomap;
-///                                    see router.hpp for the driver side).
+///                                    clustering superstep protocol: each
+///                                    verb steps the core::MultilevelRun
+///                                    and SuperstepExecutor phases that
+///                                    run_distributed_infomap loops over
+///                                    (see router.hpp for the driver side).
 ///                                    Steps run as kInteractive jobs on the
 ///                                    inner session's JobScheduler.
 ///                                    `APPLY <g> <list> more` applies one

@@ -5,17 +5,12 @@
 #include <functional>
 #include <utility>
 
-#include "asamap/core/infomap.hpp"
-#include "asamap/hashdb/software_accumulator.hpp"
+#include "asamap/dist/distributed.hpp"
 #include "asamap/obs/tracing.hpp"
-#include "asamap/sim/event_sink.hpp"
 #include "asamap/support/timer.hpp"
 
 namespace asamap::dist {
 
-using core::FlowNetwork;
-using core::LevelAddresses;
-using core::ModuleState;
 using graph::VertexId;
 
 namespace {
@@ -87,38 +82,28 @@ constexpr std::size_t kMaxPartialCommunities = 200000;
 }  // namespace
 
 /// One in-flight distributed clustering, the shard half of the superstep
-/// protocol.  Mirrors run_distributed_infomap exactly: same flow build,
-/// same per-level ModuleState, same evaluate/re-validate kernels — so the
-/// converged codelength matches the simulation bit for bit when the router
-/// concatenates movers in shard order.
+/// protocol.  It steps the same core::MultilevelRun and SuperstepExecutor
+/// phases run_distributed_infomap loops over, so the converged codelength
+/// matches the simulation when the router concatenates movers in shard
+/// order.  One process is one rank: the executor holds a single heap.
 struct ShardSession::DclusterState {
   serve::GraphRegistry::GraphPtr graph;
-  FlowNetwork original;
-  FlowNetwork fn;
-  std::vector<VertexId> node_of_orig;
-  std::unique_ptr<ModuleState> state;
-  hashdb::AddressSpace addr_space;
-  LevelAddresses addrs{};
-  sim::NullSink sink;
-  std::unique_ptr<hashdb::AddressSpace> heap;
-  std::unique_ptr<hashdb::ChainedAccumulator<sim::NullSink>> acc;
-  core::KernelCosts costs;
-  std::vector<std::uint8_t> active;
-  std::vector<std::uint8_t> next_active;
+  core::MultilevelRun run;
+  SuperstepExecutor steps{1};
   /// Moves applied by earlier `APPLY ... more` chunks of the current
   /// superstep; folded into the final chunk's `applied=` total.
   std::size_t pending_applied = 0;
-  int level = 0;
 
-  void reset_level() {
-    const VertexId n = fn.num_nodes();
-    state = std::make_unique<ModuleState>(fn);
-    addrs = LevelAddresses::for_network(fn, addr_space);
-    heap = std::make_unique<hashdb::AddressSpace>();
-    acc = std::make_unique<hashdb::ChainedAccumulator<sim::NullSink>>(sink,
-                                                                     *heap);
-    active.assign(n, 1);
-    next_active.assign(n, 0);
+  // The router drives levels and convergence; the protocol has no
+  // refinement pass.
+  explicit DclusterState(serve::GraphRegistry::GraphPtr g)
+      : graph(std::move(g)), run(*graph, {.refine_sweeps = 0}) {
+    begin_level();
+  }
+
+  void begin_level() {
+    run.begin_level();
+    steps.begin_level(run.network().num_nodes());
     pending_applied = 0;
   }
 };
@@ -340,18 +325,11 @@ std::string ShardSession::handle_dcluster(
       return err("not_found", "unknown graph '" + name + "'");
     }
     response = run_step("begin", [&]() -> std::string {
-      auto dc = std::make_unique<DclusterState>();
-      dc->graph = graph;
-      dc->original = core::build_flow(*graph, core::FlowOptions{});
-      dc->fn = dc->original;
-      dc->node_of_orig.resize(graph->num_vertices());
-      for (VertexId v = 0; v < graph->num_vertices(); ++v) {
-        dc->node_of_orig[v] = v;
-      }
-      dc->reset_level();
-      std::string out = "OK graph=" + name +
-                        " n=" + std::to_string(dc->fn.num_nodes()) +
-                        " codelength=" + fmt_full(dc->state->codelength());
+      auto dc = std::make_unique<DclusterState>(graph);
+      std::string out =
+          "OK graph=" + name +
+          " n=" + std::to_string(dc->run.network().num_nodes()) +
+          " codelength=" + fmt_full(dc->run.state().codelength());
       dcluster_[name] = std::move(dc);
       return out;
     });
@@ -364,26 +342,19 @@ std::string ShardSession::handle_dcluster(
 
     if (op == "PROPOSE") {
       response = run_step("propose", [&]() -> std::string {
-        const VertexId n = dc.fn.num_nodes();
-        const ShardRange range =
-            range_of(n, config_.shard_id, config_.shards);
-        core::KernelBreakdown scratch;
-        std::string out = "OK movers=";
+        const core::LevelSweep lv = dc.run.current();
+        std::vector<VertexId> movers;
+        dc.steps.propose(lv,
+                         range_of(lv.fn.num_nodes(), config_.shard_id,
+                                  config_.shards),
+                         0, movers);
         std::string list;
-        std::size_t count = 0;
-        for (VertexId v = range.begin; v < range.end; ++v) {
-          if (!dc.active[v]) continue;
-          const core::MoveProposal p =
-              core::evaluate_move(*dc.state, dc.fn, v, *dc.acc, dc.sink,
-                                  dc.addrs, dc.costs, scratch);
-          if (p.improving(dc.state->module_of(v))) {
-            if (!list.empty()) list += ',';
-            list += std::to_string(v);
-            ++count;
-          }
+        for (const VertexId v : movers) {
+          if (!list.empty()) list += ',';
+          list += std::to_string(v);
         }
-        out += std::to_string(count) + " list=" + (list.empty() ? "-" : list);
-        return out;
+        return "OK movers=" + std::to_string(movers.size()) +
+               " list=" + (list.empty() ? "-" : list);
       });
     } else if (op == "APPLY") {
       // `more` marks a non-final chunk of the superstep's mover list: apply
@@ -405,7 +376,7 @@ std::string ShardSession::handle_dcluster(
           const std::size_t comma = list.find(',');
           const std::string_view tok = list.substr(0, comma);
           VertexId v = 0;
-          if (!parse_num(tok, v) || v >= dc.fn.num_nodes()) {
+          if (!parse_num(tok, v) || v >= dc.run.network().num_nodes()) {
             return err("invalid_argument", "bad mover list");
           }
           movers.push_back(v);
@@ -414,51 +385,31 @@ std::string ShardSession::handle_dcluster(
         }
       }
       response = run_step("apply", [&]() -> std::string {
-        core::KernelBreakdown bd;
-        for (const VertexId v : movers) {
-          if (core::find_best_community(*dc.state, dc.fn, v, *dc.acc,
-                                        dc.sink, dc.addrs, dc.costs, bd)) {
-            ++dc.pending_applied;
-            core::mark_neighborhood(dc.fn, v, dc.next_active.data());
-          }
-        }
+        dc.pending_applied += dc.steps.apply(dc.run.current(), movers);
         if (more) {
           return "OK more=1 applied=" + std::to_string(dc.pending_applied);
         }
         const std::size_t applied = dc.pending_applied;
         dc.pending_applied = 0;
-        dc.state->recompute();
-        dc.active.swap(dc.next_active);
-        std::fill(dc.next_active.begin(), dc.next_active.end(), 0);
+        dc.steps.end_superstep(dc.run.state());
         return "OK applied=" + std::to_string(applied) +
-               " codelength=" + fmt_full(dc.state->codelength());
+               " codelength=" + fmt_full(dc.run.state().codelength());
       });
     } else if (op == "LEVEL") {
       response = run_step("level", [&]() -> std::string {
-        const VertexId n = dc.fn.num_nodes();
-        core::Partition assignment = dc.state->assignment();
-        const std::size_t k = core::compact_communities(assignment);
-        for (VertexId v = 0; v < dc.node_of_orig.size(); ++v) {
-          dc.node_of_orig[v] = assignment[dc.node_of_orig[v]];
+        if (!dc.run.end_level(1)) {
+          return "OK done=1 communities=" +
+                 std::to_string(dc.run.level_communities());
         }
-        if (k == n || k <= 1) {
-          return "OK done=1 communities=" + std::to_string(k);
-        }
-        dc.fn = core::contract_network(dc.fn, assignment, k);
-        ++dc.level;
-        dc.reset_level();
-        return "OK done=0 n=" + std::to_string(dc.fn.num_nodes()) +
-               " codelength=" + fmt_full(dc.state->codelength());
+        dc.begin_level();
+        return "OK done=0 n=" + std::to_string(dc.run.network().num_nodes()) +
+               " codelength=" + fmt_full(dc.run.state().codelength());
       });
     } else if (op == "COMMIT") {
+      bool finished = false;
       response = run_step("commit", [&]() -> std::string {
-        core::InfomapResult result;
-        result.communities = dc.node_of_orig;
-        result.num_communities =
-            core::compact_communities(result.communities);
-        ModuleState final_state(dc.original, result.communities,
-                                result.num_communities);
-        result.codelength = final_state.codelength();
+        finished = true;  // finish() ends the run even if publishing fails
+        const core::InfomapResult result = dc.run.finish(dc.steps);
         const std::uint64_t version =
             inner_.store().publish(name,
                                    serve::make_snapshot(dc.graph, result));
@@ -466,7 +417,7 @@ std::string ShardSession::handle_dcluster(
                " communities=" + std::to_string(result.num_communities) +
                " codelength=" + fmt_full(result.codelength);
       });
-      if (response.rfind("OK", 0) == 0) dcluster_.erase(name);
+      if (finished) dcluster_.erase(name);
     } else if (op == "ABORT") {
       dcluster_.erase(name);
       response = "OK aborted=" + name;
