@@ -17,6 +17,8 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -27,6 +29,7 @@
 #include "asamap/gen/generators.hpp"
 #include "asamap/gen/lfr.hpp"
 #include "asamap/hashdb/flat_accumulator.hpp"
+#include "asamap/serve/session.hpp"
 #include "asamap/support/rng.hpp"
 
 namespace {
@@ -353,6 +356,83 @@ TEST(RefactorPin, DistributedRanks) {
   EXPECT_EQ(four.trace.size(), 29u);
   EXPECT_EQ(four.total_messages, 245u);
   EXPECT_EQ(four.total_bytes, 585776u);
+}
+
+/// FNV-1a over every out-arc then every in-arc: dst as a little-endian
+/// 32-bit word, weight as its 64-bit pattern.
+std::uint64_t fnv1a_arcs(const graph::CsrGraph& g) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t word, int bytes) {
+    for (int b = 0; b < bytes; ++b) {
+      h ^= (word >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  const auto mix_arcs = [&mix](std::span<const graph::Arc> arcs) {
+    for (const graph::Arc& a : arcs) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &a.weight, sizeof(bits));
+      mix(a.dst, 4);
+      mix(bits, 8);
+    }
+  };
+  mix(g.num_vertices(), 4);
+  for (graph::VertexId u = 0; u < g.num_vertices(); ++u) {
+    mix_arcs(g.out_neighbors(u));
+  }
+  for (graph::VertexId u = 0; u < g.num_vertices(); ++u) {
+    mix_arcs(g.in_neighbors(u));
+  }
+  return h;
+}
+
+TEST(RefactorPin, ServedIncrementalApplyRounds) {
+  // Five rounds of mutations, each folded and re-clustered by an
+  // incremental APPLY: pins the served graph the folds produce and the
+  // partition the warm-started runs reach on it.  Recorded with the
+  // edge-list fold (edge vector -> from_edges), before materialize spliced
+  // rows straight into the CSR arrays.
+  serve::SessionConfig config;
+  config.cluster_threads = 1;
+  config.scheduler.workers = 1;
+  serve::ServeSession session(config);
+  ASSERT_TRUE(session.gen_chung_lu("g", 20000, 120000, 2441).ok());
+  ASSERT_EQ(session.handle_line("CLUSTER g sync").substr(0, 2), "OK");
+  support::Xoshiro256 rng(2443);
+  for (int round = 0; round < 5; ++round) {
+    const auto current = session.registry().get("g");
+    ASSERT_NE(current, nullptr);
+    const graph::VertexId n = current->num_vertices();
+    for (int i = 0; i < 300; ++i) {
+      const auto u = static_cast<graph::VertexId>(rng.next_below(n));
+      const auto nbrs = current->out_neighbors(u);
+      if (i % 3 == 0 && !nbrs.empty()) {
+        const graph::VertexId v = nbrs[rng.next_below(nbrs.size())].dst;
+        ASSERT_TRUE(session.del_edge("g", u, v).ok());
+        if (i % 9 == 0) {
+          ASSERT_TRUE(session.add_edge("g", u, v, 0.5).ok());
+        }
+        continue;
+      }
+      // One endpoint per round lands past n, so the graph grows.
+      const auto v = i == 1 ? n : static_cast<graph::VertexId>(rng.next_below(n));
+      if (u == v) continue;
+      ASSERT_TRUE(session.add_edge("g", u, v, 0.25 + rng.next_double()).ok());
+    }
+    const std::string resp = session.handle_line("APPLY g recluster=incr sync");
+    ASSERT_EQ(resp.substr(0, 2), "OK") << resp;
+    ASSERT_NE(resp.find("state=done"), std::string::npos) << resp;
+    EXPECT_NE(resp.find("mode=incr"), std::string::npos) << resp;
+  }
+  const auto snap = session.snapshot("g");
+  ASSERT_NE(snap, nullptr);
+  const auto served = session.registry().get("g");
+  ASSERT_NE(served, nullptr);
+  EXPECT_EQ(served->num_vertices(), 20005u);
+  expect_pinned("served incr", snap->codelength, snap->communities,
+                0x1.8fbfae8dd1c98p+3, 0x1cc5ce3e8b9bfeb2ULL);
+  EXPECT_EQ(fnv1a_arcs(*served), 0x6175ad77953241daULL)
+      << "arcs hash 0x" << std::hex << fnv1a_arcs(*served);
 }
 
 }  // namespace
