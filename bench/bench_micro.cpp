@@ -6,9 +6,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <utility>
+#include <vector>
+
 #include "asamap/asa/accumulator.hpp"
 #include "asamap/core/flow.hpp"
 #include "asamap/core/map_equation.hpp"
+#include "asamap/dyn/delta_log.hpp"
 #include "asamap/gen/alias_table.hpp"
 #include "asamap/gen/generators.hpp"
 #include "asamap/hashdb/software_accumulator.hpp"
@@ -131,6 +135,44 @@ void BM_PageRankIteration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PageRankIteration);
+
+/// One APPLY's fold: DeltaView over 600 records (2:1 adds to deletes, both
+/// endpoints degree-biased, as mutation streams on power-law graphs are)
+/// plus materialize(), on the 100k-vertex, 600k-edge Chung-Lu graph.
+void BM_DeltaFold(benchmark::State& state) {
+  static const graph::CsrGraph g = [] {
+    gen::ChungLuParams params;
+    params.n = 100000;
+    params.target_edges = 600000;
+    return gen::chung_lu(params, 42);
+  }();
+  support::Xoshiro256 rng(11);
+  // The arc at a uniform index: its source is degree-biased.
+  const auto random_arc = [&rng] {
+    const auto i = static_cast<graph::EdgeId>(rng.next_below(g.num_arcs()));
+    graph::VertexId lo = 0, hi = g.num_vertices();
+    while (hi - lo > 1) {
+      const graph::VertexId mid = lo + (hi - lo) / 2;
+      (g.out_offset(mid) <= i ? lo : hi) = mid;
+    }
+    return std::pair{lo, g.out_neighbors(lo)[i - g.out_offset(lo)].dst};
+  };
+  std::vector<dyn::DeltaRecord> batch;
+  while (batch.size() < 600) {
+    const auto [u, v] = random_arc();
+    if (batch.size() % 3 == 0) {
+      batch.push_back({u, v, 0.0, dyn::DeltaOp::kDelEdge});
+      continue;
+    }
+    const graph::VertexId w = random_arc().second;
+    if (u != w) batch.push_back({u, w, 1.0, dyn::DeltaOp::kAddEdge});
+  }
+  for (auto _ : state) {
+    const dyn::DeltaView view(g, batch);
+    benchmark::DoNotOptimize(view.materialize().num_arcs());
+  }
+}
+BENCHMARK(BM_DeltaFold)->Unit(benchmark::kMillisecond);
 
 void BM_Plogp(benchmark::State& state) {
   double x = 0.3;

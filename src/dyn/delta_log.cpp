@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "asamap/graph/edge_list.hpp"
-
 namespace asamap::dyn {
 
 void DeltaLog::add_edge(graph::VertexId u, graph::VertexId v,
@@ -123,19 +121,64 @@ std::size_t DeltaView::out_degree(graph::VertexId u) const {
   return d;
 }
 
-graph::CsrGraph DeltaView::materialize() const {
-  std::vector<graph::Edge> edges;
-  edges.reserve(static_cast<std::size_t>(base_->num_arcs()) + batch_size_);
-  for (graph::VertexId u = 0; u < n_; ++u) {
-    for_each_out(u, [&edges, u](const graph::Arc& a) {
-      edges.push_back(graph::Edge{u, a.dst, a.weight});
-    });
+void DeltaView::splice_side(const PatchMap& patches, bool out,
+                            std::vector<graph::EdgeId>& offsets,
+                            std::vector<graph::Arc>& arcs) const {
+  const graph::CsrGraph& base = *base_;
+  const graph::VertexId base_n = base.num_vertices();
+  const auto base_offset = [&base, out](graph::VertexId u) {
+    return out ? base.out_offset(u) : base.in_offset(u);
+  };
+  std::vector<std::pair<graph::VertexId, std::span<const Patch>>> rows;
+  rows.reserve(patches.size());
+  std::size_t patch_count = 0;
+  for (const auto& [u, run] : patches) {
+    rows.emplace_back(u, run);
+    patch_count += run.size();
   }
-  // The merge emits ascending (src, dst) with parallel arcs already folded,
-  // which is exactly the from_coalesced contract — no re-sort.
-  graph::EdgeList el =
-      graph::EdgeList::from_coalesced(std::move(edges), n_);
-  return graph::CsrGraph::from_edges(el, n_);
+  std::sort(rows.begin(), rows.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+
+  // Each patch adds at most one arc, so one reservation holds the result
+  // and every row below is appended, never scattered.
+  offsets.assign(std::size_t{n_} + 1, 0);
+  arcs.reserve(base.num_arcs() + patch_count);
+  graph::VertexId next = 0;  // first row not yet emitted
+  // Emits the untouched rows [next, end): base rows as one block, rows past
+  // the base empty.
+  const auto copy_untouched = [&](graph::VertexId end) {
+    const graph::VertexId stop = std::min(end, base_n);
+    if (next < stop) {
+      const graph::EdgeId first = base_offset(next);
+      const graph::Arc* block =
+          (out ? base.out_neighbors(next) : base.in_neighbors(next)).data();
+      arcs.insert(arcs.end(), block, block + (base_offset(stop) - first));
+      const graph::EdgeId at = offsets[next];
+      for (graph::VertexId u = next; u < stop; ++u) {
+        offsets[u + 1] = at + (base_offset(u + 1) - first);
+      }
+      next = stop;
+    }
+    for (; next < end; ++next) offsets[next + 1] = offsets[next];
+  };
+  for (const auto& [u, run] : rows) {
+    copy_untouched(u);
+    merge(out ? base_out(u) : base_in(u), run,
+          [&arcs](const graph::Arc& a) { arcs.push_back(a); });
+    offsets[u + 1] = arcs.size();
+    next = u + 1;
+  }
+  copy_untouched(n_);
+}
+
+graph::CsrGraph DeltaView::materialize() const {
+  graph::CsrRows rows;
+  splice_side(out_patches_, true, rows.out_offsets, rows.out_arcs);
+  splice_side(in_patches_, false, rows.in_offsets, rows.in_arcs);
+  // Every patched row, on either side, is an endpoint of some record, so
+  // on a symmetric base only touched_ can have lost its symmetry.
+  return graph::CsrGraph::from_rows(
+      std::move(rows), base_->is_symmetric() ? &touched_ : nullptr);
 }
 
 }  // namespace asamap::dyn

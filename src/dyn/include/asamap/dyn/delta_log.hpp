@@ -141,8 +141,11 @@ class DeltaView {
   [[nodiscard]] std::size_t out_degree(graph::VertexId u) const;
 
   /// Folds base + batch into a fresh immutable CSR — the compaction step.
-  /// Emits arcs in globally sorted (src, dst) order so the EdgeList
-  /// fast-path (from_coalesced) skips its O(m log m) re-sort.
+  /// Builds both sides' row arrays directly: each maximal run of rows no
+  /// record touched is copied from the base as one block, and only patched
+  /// rows go through the merge.  On a symmetric base only the touched rows
+  /// are re-checked for symmetry.  The result is bitwise the graph
+  /// from_edges would build from the merged arcs in (src, dst) order.
   [[nodiscard]] graph::CsrGraph materialize() const;
 
  private:
@@ -192,6 +195,11 @@ class DeltaView {
       ++pi;
     }
   }
+
+  /// One side of materialize(): `out` picks the base's out or in rows.
+  void splice_side(const PatchMap& patches, bool out,
+                   std::vector<graph::EdgeId>& offsets,
+                   std::vector<graph::Arc>& arcs) const;
 
   void apply_record(const DeltaRecord& rec);
   static void patch_one(PatchMap& m, graph::VertexId src, graph::VertexId dst,

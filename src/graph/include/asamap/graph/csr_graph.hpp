@@ -15,14 +15,35 @@
 
 namespace asamap::graph {
 
+/// Finished adjacency of both sides: `*_offsets` has n + 1 entries starting
+/// at 0, each row of `*_arcs` is ascending by neighbor with parallel arcs
+/// merged, and the in side holds exactly the reverse of the out side.
+struct CsrRows {
+  std::vector<EdgeId> out_offsets;
+  std::vector<Arc> out_arcs;
+  std::vector<EdgeId> in_offsets;
+  std::vector<Arc> in_arcs;
+};
+
 class CsrGraph {
  public:
   CsrGraph() = default;
 
   /// Freezes a coalesced edge list (call EdgeList::coalesce first — duplicate
   /// arcs are not merged here).  `n_hint` lets callers include trailing
-  /// isolated vertices.
+  /// isolated vertices.  Rows the input already lists in ascending order
+  /// are not re-sorted.
   static CsrGraph from_edges(const EdgeList& edges, VertexId n_hint = 0);
+
+  /// Adopts finished rows — the one step every builder ends in.  Derives
+  /// each vertex's out/in weight and the total by summing rows in order
+  /// (the order a coalesced edge list lists the arcs in), and the symmetry
+  /// flag by comparing each vertex's out row with its in row.
+  /// `changed_rows`, when given, lists every row whose two sides may
+  /// differ: the caller vouches that all other rows match, so only the
+  /// listed rows are compared.
+  static CsrGraph from_rows(CsrRows rows,
+                            const std::vector<VertexId>* changed_rows = nullptr);
 
   [[nodiscard]] VertexId num_vertices() const noexcept { return n_; }
   [[nodiscard]] EdgeId num_arcs() const noexcept {

@@ -16,8 +16,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -335,6 +337,166 @@ TEST(DeltaFuzz, InterleavedFoldsAreInvisible) {
     const DeltaView once(base, stream);
     ref.expect_equals(once.materialize(), "one-shot control");
   }
+}
+
+// --- row splice vs the edge-list fold --------------------------------------
+
+/// The fold materialize() replaced, kept as its oracle: every merged arc
+/// into an edge vector in (src, dst) order, adopted as coalesced, then the
+/// generic edge-list builder.
+graph::CsrGraph edge_list_fold(const DeltaView& view) {
+  std::vector<graph::Edge> edges;
+  for (VertexId u = 0; u < view.num_vertices(); ++u) {
+    view.for_each_out(u, [&edges, u](const graph::Arc& a) {
+      edges.push_back(graph::Edge{u, a.dst, a.weight});
+    });
+  }
+  const graph::EdgeList el =
+      graph::EdgeList::from_coalesced(std::move(edges), view.num_vertices());
+  return graph::CsrGraph::from_edges(el, view.num_vertices());
+}
+
+std::uint64_t bits(Weight w) { return std::bit_cast<std::uint64_t>(w); }
+
+/// Field by field (Arc has padding, so no memcmp), weights as bit patterns.
+/// The per-vertex weights and the total are also checked against sums in
+/// edge-list order, the order the edge-list builder always summed in.
+void expect_bitwise_fold(const DeltaView& view, const std::string& label) {
+  const graph::CsrGraph got = view.materialize();
+  const graph::CsrGraph want = edge_list_fold(view);
+  const VertexId n = want.num_vertices();
+  ASSERT_EQ(got.num_vertices(), n) << label;
+  ASSERT_EQ(got.num_arcs(), want.num_arcs()) << label;
+  EXPECT_EQ(got.out_offset(n), want.out_offset(n)) << label;
+  EXPECT_EQ(got.in_offset(n), want.in_offset(n)) << label;
+  std::vector<Weight> out_sum(n, 0.0), in_sum(n, 0.0);
+  Weight total = 0.0;
+  const auto expect_row = [&](std::span<const graph::Arc> g,
+                              std::span<const graph::Arc> w, VertexId u,
+                              const char* side) {
+    ASSERT_EQ(g.size(), w.size()) << label << ": " << side << " row " << u;
+    for (std::size_t i = 0; i < g.size(); ++i) {
+      EXPECT_EQ(g[i].dst, w[i].dst) << label << ": " << side << " row " << u;
+      EXPECT_EQ(bits(g[i].weight), bits(w[i].weight))
+          << label << ": " << side << " row " << u;
+    }
+  };
+  for (VertexId u = 0; u < n; ++u) {
+    EXPECT_EQ(got.out_offset(u), want.out_offset(u)) << label << " " << u;
+    EXPECT_EQ(got.in_offset(u), want.in_offset(u)) << label << " " << u;
+    expect_row(got.out_neighbors(u), want.out_neighbors(u), u, "out");
+    expect_row(got.in_neighbors(u), want.in_neighbors(u), u, "in");
+    for (const graph::Arc& a : want.out_neighbors(u)) {
+      out_sum[u] += a.weight;
+      in_sum[a.dst] += a.weight;
+      total += a.weight;
+    }
+  }
+  for (VertexId u = 0; u < n; ++u) {
+    EXPECT_EQ(bits(got.out_weight(u)), bits(want.out_weight(u))) << label;
+    EXPECT_EQ(bits(got.in_weight(u)), bits(want.in_weight(u))) << label;
+    EXPECT_EQ(bits(got.out_weight(u)), bits(out_sum[u])) << label;
+    EXPECT_EQ(bits(got.in_weight(u)), bits(in_sum[u])) << label;
+  }
+  EXPECT_EQ(bits(got.total_arc_weight()), bits(want.total_arc_weight()))
+      << label;
+  EXPECT_EQ(bits(got.total_arc_weight()), bits(total)) << label;
+  EXPECT_EQ(got.is_symmetric(), want.is_symmetric()) << label;
+}
+
+/// Every batch shape the splice has a branch for, over one base.
+void expect_bitwise_batches(const graph::CsrGraph& base, std::uint64_t seed,
+                            const std::string& label) {
+  const VertexId n = base.num_vertices();
+  expect_bitwise_fold(DeltaView(base, {}), label + ": empty batch");
+
+  support::Xoshiro256 rng(seed);
+  std::vector<DeltaRecord> dels;
+  while (dels.size() < 40) {
+    const auto u = static_cast<VertexId>(rng.next_below(n));
+    const auto nbrs = base.out_neighbors(u);
+    if (nbrs.empty()) continue;
+    dels.push_back({u, nbrs[rng.next_below(nbrs.size())].dst, 0.0,
+                    DeltaOp::kDelEdge});
+  }
+  dels.push_back({0, n - 1, 0.0, DeltaOp::kDelEdge});  // may miss: no-op
+  expect_bitwise_fold(DeltaView(base, dels), label + ": delete-only");
+
+  // DEL then ADD on a base arc: resurrected with only the new weight.
+  std::vector<DeltaRecord> resurrect;
+  for (std::size_t i = 0; i < 10; ++i) {
+    resurrect.push_back(dels[i]);
+    resurrect.push_back({dels[i].u, dels[i].v, 0.375, DeltaOp::kAddEdge});
+  }
+  expect_bitwise_fold(DeltaView(base, resurrect), label + ": resurrection");
+
+  // First and last rows, and endpoints past n that grow the graph.
+  const std::vector<DeltaRecord> edges_of_range = {
+      {0, n - 1, 1.25, DeltaOp::kAddEdge},
+      {n - 1, 1, 0.5, DeltaOp::kAddEdge},
+      {0, n + 3, 2.0, DeltaOp::kAddEdge},
+      {n + 1, n - 1, 0.75, DeltaOp::kAddEdge}};
+  expect_bitwise_fold(DeltaView(base, edges_of_range),
+                      label + ": rows 0, n-1, growth");
+
+  for (int round = 0; round < 4; ++round) {
+    const auto stream = random_stream(rng, base, 50 + 100 * round);
+    expect_bitwise_fold(DeltaView(base, stream), label + ": random");
+    // The same stream as directed records, whatever the base.
+    expect_bitwise_fold(DeltaView(base, stream, false), label + ": directed");
+  }
+}
+
+TEST(DeltaFuzz, SpliceIsBitwiseTheEdgeListFold) {
+  const auto er = gen::erdos_renyi(300, 0.03, 4101);
+  ASSERT_TRUE(er.is_symmetric());
+  expect_bitwise_batches(er, 4103, "erdos-renyi");
+
+  gen::ChungLuParams params;
+  params.n = 2000;
+  params.target_edges = 12000;
+  params.gamma = 2.1;
+  params.min_deg = 2;
+  const auto cl = gen::chung_lu(params, 4107);
+  ASSERT_TRUE(cl.is_symmetric());
+  expect_bitwise_batches(cl, 4109, "chung-lu");
+
+  // Directed base: random arcs with random weights, about half of them
+  // reciprocated with a different weight.
+  support::Xoshiro256 rng(4111);
+  graph::EdgeList el;
+  for (int i = 0; i < 1500; ++i) {
+    const auto u = static_cast<VertexId>(rng.next_below(200));
+    const auto v = static_cast<VertexId>(rng.next_below(200));
+    if (u == v) continue;
+    el.add(u, v, 0.5 + rng.next_double());
+    if (rng.next_double() < 0.5) el.add(v, u, 0.5 + rng.next_double());
+  }
+  el.coalesce();
+  const auto directed = graph::CsrGraph::from_edges(el, 200);
+  ASSERT_FALSE(directed.is_symmetric());
+  expect_bitwise_batches(directed, 4113, "directed");
+
+  // A directed record on a symmetric base breaks symmetry; only its rows
+  // are re-checked, and the check must still see it.
+  const std::vector<DeltaRecord> one_way = {{3, 250, 1.0, DeltaOp::kAddEdge}};
+  const DeltaView broken(er, one_way, /*undirected=*/false);
+  expect_bitwise_fold(broken, "symmetry broken");
+  EXPECT_FALSE(broken.materialize().is_symmetric());
+
+  // A directed base one arc short of symmetric: the missing reverse arc
+  // restores symmetry.
+  graph::EdgeList almost;
+  almost.add_undirected(0, 1, 2.0);
+  almost.add_undirected(1, 2, 0.5);
+  almost.add(2, 3, 1.5);
+  almost.coalesce();
+  const auto lopsided = graph::CsrGraph::from_edges(almost, 4);
+  ASSERT_FALSE(lopsided.is_symmetric());
+  const std::vector<DeltaRecord> reverse = {{3, 2, 1.5, DeltaOp::kAddEdge}};
+  const DeltaView restored(lopsided, reverse);
+  expect_bitwise_fold(restored, "symmetry restored");
+  EXPECT_TRUE(restored.materialize().is_symmetric());
 }
 
 // --- incremental warm-start planning --------------------------------------

@@ -3,12 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <sstream>
+#include <vector>
 
 #include "asamap/graph/csr_graph.hpp"
 #include "asamap/graph/edge_list.hpp"
 #include "asamap/graph/io.hpp"
 #include "asamap/graph/stats.hpp"
+#include "asamap/support/rng.hpp"
 
 namespace {
 
@@ -134,6 +139,108 @@ TEST(CsrGraph, OffsetsMatchDegrees) {
   EXPECT_EQ(g.out_offset(0), 0u);
   EXPECT_EQ(g.out_offset(1), 2u);
   EXPECT_EQ(g.out_offset(2), 4u);
+}
+
+TEST(CsrGraph, RowsGivenOutOfOrderComeOutAscending) {
+  // Not coalesced, so nothing has sorted the edges: both sides' rows are
+  // scattered out of order and must be sorted by the builder.
+  EdgeList e;
+  const std::vector<Edge> shuffled = {{2, 0, 0.5}, {0, 5, 1.5}, {1, 3, 2.0},
+                                      {0, 2, 0.25}, {3, 1, 1.0}, {0, 9, 4.0},
+                                      {5, 0, 0.75}, {9, 2, 3.0}, {1, 0, 2.5}};
+  for (const Edge& x : shuffled) e.add(x.src, x.dst, x.weight);
+  const CsrGraph g = CsrGraph::from_edges(e);
+  EdgeList sorted = e;
+  sorted.coalesce();
+  const CsrGraph want = CsrGraph::from_edges(sorted);
+  ASSERT_EQ(g.num_vertices(), want.num_vertices());
+  for (VertexId u = 0; u < g.num_vertices(); ++u) {
+    const auto out = g.out_neighbors(u);
+    const auto in = g.in_neighbors(u);
+    const auto by_dst = [](const Arc& a, const Arc& b) { return a.dst < b.dst; };
+    EXPECT_TRUE(std::is_sorted(out.begin(), out.end(), by_dst)) << u;
+    EXPECT_TRUE(std::is_sorted(in.begin(), in.end(), by_dst)) << u;
+    EXPECT_TRUE(std::equal(out.begin(), out.end(),
+                           want.out_neighbors(u).begin(),
+                           want.out_neighbors(u).end()))
+        << u;
+    EXPECT_TRUE(std::equal(in.begin(), in.end(), want.in_neighbors(u).begin(),
+                           want.in_neighbors(u).end()))
+        << u;
+    // Dyadic weights: every summation order gives the same sums.
+    EXPECT_EQ(g.out_weight(u), want.out_weight(u)) << u;
+    EXPECT_EQ(g.in_weight(u), want.in_weight(u)) << u;
+  }
+  EXPECT_EQ(g.total_arc_weight(), 15.5);
+  EXPECT_FALSE(g.is_symmetric());
+}
+
+TEST(CsrGraph, SortedInputBuildsTheSameGraphAsSortingEveryRow) {
+  // Coalesced input skips the per-row sort.  The result must be bitwise
+  // what the builder made when it sorted every row and summed weights in
+  // edge-list order, recomputed here from the edges.
+  asamap::support::Xoshiro256 rng(71);
+  EdgeList e;
+  for (int i = 0; i < 3000; ++i) {
+    const auto u = static_cast<VertexId>(rng.next_below(400));
+    const auto v = static_cast<VertexId>(rng.next_below(400));
+    e.add_undirected(u, v, 0.1 + rng.next_double());
+  }
+  e.coalesce();
+  const CsrGraph g = CsrGraph::from_edges(e, 410);
+  ASSERT_EQ(g.num_vertices(), 410u);
+  ASSERT_EQ(g.num_arcs(), e.size());
+  std::vector<std::vector<Arc>> out(410), in(410);
+  std::vector<Weight> out_w(410, 0.0), in_w(410, 0.0);
+  Weight total = 0.0;
+  for (const Edge& x : e.edges()) {
+    out[x.src].push_back(Arc{x.dst, x.weight});
+    in[x.dst].push_back(Arc{x.src, x.weight});
+    out_w[x.src] += x.weight;
+    in_w[x.dst] += x.weight;
+    total += x.weight;
+  }
+  const auto bits = [](Weight w) { return std::bit_cast<std::uint64_t>(w); };
+  for (VertexId u = 0; u < 410; ++u) {
+    const auto by_dst = [](const Arc& a, const Arc& b) { return a.dst < b.dst; };
+    std::sort(out[u].begin(), out[u].end(), by_dst);
+    std::sort(in[u].begin(), in[u].end(), by_dst);
+    const auto go = g.out_neighbors(u);
+    const auto gi = g.in_neighbors(u);
+    ASSERT_EQ(go.size(), out[u].size()) << u;
+    ASSERT_EQ(gi.size(), in[u].size()) << u;
+    for (std::size_t i = 0; i < go.size(); ++i) {
+      EXPECT_EQ(go[i].dst, out[u][i].dst) << u;
+      EXPECT_EQ(bits(go[i].weight), bits(out[u][i].weight)) << u;
+    }
+    for (std::size_t i = 0; i < gi.size(); ++i) {
+      EXPECT_EQ(gi[i].dst, in[u][i].dst) << u;
+      EXPECT_EQ(bits(gi[i].weight), bits(in[u][i].weight)) << u;
+    }
+    EXPECT_EQ(bits(g.out_weight(u)), bits(out_w[u])) << u;
+    EXPECT_EQ(bits(g.in_weight(u)), bits(in_w[u])) << u;
+  }
+  EXPECT_EQ(bits(g.total_arc_weight()), bits(total));
+  EXPECT_TRUE(g.is_symmetric());
+}
+
+TEST(CsrGraph, FromRowsChecksOnlyTheNamedRows) {
+  // Vertex 2 has an out-arc without its reverse: a full scan sees it, and
+  // so does a check naming row 2; naming only rows that match does not.
+  CsrRows rows;
+  rows.out_offsets = {0, 1, 2, 3};
+  rows.out_arcs = {{1, 1.0}, {0, 1.0}, {0, 2.0}};
+  rows.in_offsets = {0, 2, 3, 3};
+  rows.in_arcs = {{1, 1.0}, {2, 2.0}, {0, 1.0}};
+  EXPECT_FALSE(CsrGraph::from_rows(rows).is_symmetric());
+  const std::vector<VertexId> with_two = {1, 2};
+  EXPECT_FALSE(CsrGraph::from_rows(rows, &with_two).is_symmetric());
+  const std::vector<VertexId> without = {1};
+  const CsrGraph trusted = CsrGraph::from_rows(rows, &without);
+  EXPECT_TRUE(trusted.is_symmetric());
+  EXPECT_EQ(trusted.out_weight(2), 2.0);
+  EXPECT_EQ(trusted.in_weight(0), 3.0);
+  EXPECT_EQ(trusted.total_arc_weight(), 4.0);
 }
 
 TEST(SnapIo, ParsesCommentsAndEdges) {

@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <random>
 #include <string>
@@ -448,8 +449,17 @@ TEST_F(NetServerTest, NetMetricsAreRegisteredAndCount) {
       1u);
   EXPECT_GE(reg.counter_total("asamap_net_batches_total"), 1u);
   EXPECT_GE(reg.counter_total("asamap_net_bytes_total", "dir=\"read\""), 1u);
-  EXPECT_GE(reg.counter_total("asamap_net_bytes_total", "dir=\"written\""),
-            1u);
+  // The server counts written bytes after send() returns, so the reply can
+  // reach the client before the increment lands: poll for it, bounded.
+  const auto written = [&reg] {
+    return reg.counter_total("asamap_net_bytes_total", "dir=\"written\"");
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (written() < 1u && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GE(written(), 1u);
 }
 
 TEST_F(NetServerTest, StopDisconnectsClientsAndIsIdempotent) {
