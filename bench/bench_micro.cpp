@@ -1,16 +1,19 @@
 // google-benchmark microbenchmarks of the primitives underneath the
 // experiment suite: hash mixing, alias sampling, the accumulator engines
-// (functional throughput, NullSink), map-equation move evaluation, and one
-// PageRank iteration.  These are host-native timings — useful for spotting
-// performance regressions in the library itself, not paper reproductions.
+// (functional throughput, NullSink), map-equation move evaluation, one
+// PageRank iteration, and one level-0 Convert2SuperNode.  These are
+// host-native timings — useful for spotting performance regressions in the
+// library itself, not paper reproductions.
 
 #include <benchmark/benchmark.h>
 
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "asamap/asa/accumulator.hpp"
 #include "asamap/core/flow.hpp"
+#include "asamap/core/infomap.hpp"
 #include "asamap/core/map_equation.hpp"
 #include "asamap/dyn/delta_log.hpp"
 #include "asamap/gen/alias_table.hpp"
@@ -173,6 +176,34 @@ void BM_DeltaFold(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DeltaFold)->Unit(benchmark::kMillisecond);
+
+/// Convert2SuperNode at level 0 of the 100k-vertex / 800k-edge Chung-Lu
+/// reference graph, contracted by the partition its level-0 sweeps reach;
+/// the argument is the thread count.
+void BM_Contract(benchmark::State& state) {
+  static const auto level0 = [] {
+    gen::ChungLuParams params;
+    params.n = 100000;
+    params.target_edges = 800000;
+    params.gamma = 2.5;
+    params.min_deg = 2;
+    const graph::CsrGraph g = gen::chung_lu(params, 42);
+    core::InfomapOptions opts;
+    opts.max_levels = 1;
+    opts.refine_sweeps = 0;
+    core::InfomapResult swept = core::run_infomap_parallel(g, opts, 2);
+    return std::tuple{core::build_flow(g), std::move(swept.communities),
+                      swept.num_communities};
+  }();
+  const auto& [fn, modules, k] = level0;
+  const auto threads = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        core::contract_network(fn, modules, k, threads).graph.num_arcs());
+  }
+  state.counters["modules"] = static_cast<double>(k);
+}
+BENCHMARK(BM_Contract)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
 
 void BM_Plogp(benchmark::State& state) {
   double x = 0.3;

@@ -5,9 +5,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <numeric>
 
-#include "asamap/graph/edge_list.hpp"
+#include "asamap/hashdb/flat_accumulator.hpp"
 #include "asamap/support/check.hpp"
 #include "asamap/support/parallel.hpp"
 
@@ -144,204 +143,140 @@ FlowNetwork build_flow(const CsrGraph& g, const FlowOptions& options) {
 }
 
 FlowNetwork contract_network(const FlowNetwork& fn, const Partition& modules,
-                             std::size_t num_modules) {
+                             std::size_t num_modules, int threads) {
   const VertexId n = fn.num_nodes();
-  ASAMAP_CHECK(modules.size() == n, "partition size mismatch");
-
-  FlowNetwork out;
-  out.total_orig = fn.total_orig;
-  out.node_flow.assign(num_modules, 0.0);
-  out.teleport_flow.assign(num_modules, 0.0);
-  out.orig_count.assign(num_modules, 0);
-
-  graph::EdgeList super_edges;
-  super_edges.ensure_vertex_count(static_cast<VertexId>(num_modules));
-
-  std::size_t e = 0;
-  for (VertexId u = 0; u < n; ++u) {
-    const VertexId mu = modules[u];
-    ASAMAP_CHECK(mu < num_modules, "module id out of range");
-    out.node_flow[mu] += fn.node_flow[u];
-    out.teleport_flow[mu] += fn.teleport_flow[u];
-    out.orig_count[mu] += fn.orig_count[u];
-    for (const graph::Arc& arc : fn.graph.out_neighbors(u)) {
-      const VertexId mv = modules[arc.dst];
-      // Super-arc weight carries *flow*, not raw weight, so higher levels
-      // of the map equation see the aggregated random-walk rates directly.
-      if (mu != mv) super_edges.add(mu, mv, fn.out_flow[e]);
-      ++e;
-    }
-  }
-  super_edges.coalesce();
-  out.graph = CsrGraph::from_edges(super_edges,
-                                   static_cast<VertexId>(num_modules));
-
-  // At supernode levels, arc flow == arc weight (already aggregated flow).
-  out.out_flow.resize(out.graph.num_arcs());
-  out.in_flow.resize(out.graph.num_arcs());
-  {
-    std::size_t k = 0;
-    for (VertexId u = 0; u < out.graph.num_vertices(); ++u) {
-      for (const graph::Arc& arc : out.graph.out_neighbors(u)) {
-        out.out_flow[k++] = arc.weight;
-      }
-    }
-    k = 0;
-    for (VertexId v = 0; v < out.graph.num_vertices(); ++v) {
-      for (const graph::Arc& arc : out.graph.in_neighbors(v)) {
-        out.in_flow[k++] = arc.weight;
-      }
-    }
-  }
-  return out;
-}
-
-FlowNetwork contract_network_parallel(const FlowNetwork& fn,
-                                      const Partition& modules,
-                                      std::size_t num_modules,
-                                      int num_threads) {
-  const VertexId n = fn.num_nodes();
-  ASAMAP_CHECK(modules.size() == n, "partition size mismatch");
-  const int threads = std::max(1, num_threads);
-  // Below this size the scatter/merge machinery costs more than it saves.
-  if (threads == 1 || n < 1 << 14) {
-    return contract_network(fn, modules, num_modules);
-  }
-
   const std::size_t k = num_modules;
+  ASAMAP_CHECK(modules.size() == n, "partition size mismatch");
+  threads = std::max(1, threads);
+
+  // Counting sort of vertices by module (P^T's rows).  The fill runs in
+  // ascending vertex id, so each module lists its members in id order.
+  // `work` prefix-sums members + member arcs per module for the row split.
+  std::vector<std::size_t> member_start(k + 1, 0);
+  std::vector<std::uint64_t> work(k + 1, 0);
+  for (VertexId u = 0; u < n; ++u) {
+    const VertexId m = modules[u];
+    ASAMAP_CHECK(m < k, "module id out of range");
+    ++member_start[m + 1];
+    work[m + 1] += 1 + fn.graph.out_degree(u);
+  }
+  for (std::size_t m = 0; m < k; ++m) {
+    member_start[m + 1] += member_start[m];
+    work[m + 1] += work[m];
+  }
+  std::vector<VertexId> members(n);
+  {
+    std::vector<std::size_t> cursor(member_start.begin(),
+                                    member_start.end() - 1);
+    for (VertexId u = 0; u < n; ++u) members[cursor[modules[u]]++] = u;
+  }
+
   FlowNetwork out;
   out.total_orig = fn.total_orig;
   out.node_flow.assign(k, 0.0);
   out.teleport_flow.assign(k, 0.0);
   out.orig_count.assign(k, 0);
+  graph::CsrRows rows;
+  rows.out_offsets.assign(k + 1, 0);
+  std::vector<std::vector<graph::Arc>> row_arcs(threads);
 
-  // The supernode id space is range-partitioned across owner threads; a
-  // scanner thread appends each cross-module arc to the bucket of its
-  // *source* supernode's owner, so each owner's merged slice covers a
-  // disjoint, increasing src range and the slices concatenate sorted.
-  const auto owner_of = [k, threads](VertexId m) {
-    return static_cast<int>(std::uint64_t{m} * static_cast<unsigned>(threads) /
-                            k);
-  };
-
-  std::vector<std::vector<std::vector<graph::Edge>>> buckets(
-      threads, std::vector<std::vector<graph::Edge>>(threads));
-  std::vector<std::vector<double>> flow_part(threads), tp_part(threads);
-  std::vector<std::vector<std::uint64_t>> cnt_part(threads);
-  std::vector<std::vector<graph::Edge>> merged(threads);
-
-  support::tsan_release(&buckets);  // inputs + bucket vectors: main -> team
+  // Gustavson rows of P^T A P: thread t owns a contiguous module range of
+  // about equal work and accumulates each module's cross-module arc flows
+  // over its members in id order, arcs in row order, so every sum is the
+  // same left fold at any thread count.  Super-arcs carry *flow*, not raw
+  // weight, so higher levels see the aggregated random-walk rates directly.
+  support::tsan_release(&row_arcs);  // inputs: main -> team
 #pragma omp parallel num_threads(threads)
   {
-    support::tsan_acquire(&buckets);
+    support::tsan_acquire(&row_arcs);
     const int t = omp_get_thread_num();
-
-    // --- Scatter: scan this thread's vertex range in order.
-    auto& nf = flow_part[t];
-    auto& tp = tp_part[t];
-    auto& cnt = cnt_part[t];
-    nf.assign(k, 0.0);
-    tp.assign(k, 0.0);
-    cnt.assign(k, 0);
-    const auto first = static_cast<VertexId>(std::uint64_t{n} * t / threads);
-    const auto last =
-        static_cast<VertexId>(std::uint64_t{n} * (t + 1) / threads);
-    for (VertexId u = first; u < last; ++u) {
-      const VertexId mu = modules[u];
-      nf[mu] += fn.node_flow[u];
-      tp[mu] += fn.teleport_flow[u];
-      cnt[mu] += fn.orig_count[u];
-      const std::size_t base = static_cast<std::size_t>(fn.graph.out_offset(u));
-      const auto arcs = fn.graph.out_neighbors(u);
-      for (std::size_t i = 0; i < arcs.size(); ++i) {
-        const VertexId mv = modules[arcs[i].dst];
-        if (mu != mv) {
-          buckets[t][owner_of(mu)].push_back(
-              graph::Edge{mu, mv, fn.out_flow[base + i]});
+    const auto range_start = [&](int i) {
+      const std::uint64_t target = work[k] * static_cast<unsigned>(i) /
+                                   static_cast<unsigned>(threads);
+      return static_cast<std::size_t>(
+          std::lower_bound(work.begin(), work.end() - 1, target) -
+          work.begin());
+    };
+    const std::size_t first = range_start(t);
+    const std::size_t last = t + 1 == threads ? k : range_start(t + 1);
+    hashdb::FlatAccumulator acc;
+    std::vector<graph::Arc>& arcs = row_arcs[t];
+    for (std::size_t m = first; m < last; ++m) {
+      acc.begin();
+      double node_flow = 0.0;
+      double teleport_flow = 0.0;
+      std::uint64_t orig = 0;
+      for (std::size_t i = member_start[m]; i < member_start[m + 1]; ++i) {
+        const VertexId u = members[i];
+        node_flow += fn.node_flow[u];
+        teleport_flow += fn.teleport_flow[u];
+        orig += fn.orig_count[u];
+        const std::size_t base =
+            static_cast<std::size_t>(fn.graph.out_offset(u));
+        const auto nbrs = fn.graph.out_neighbors(u);
+        for (std::size_t j = 0; j < nbrs.size(); ++j) {
+          const VertexId mv = modules[nbrs[j].dst];
+          if (mv != m) acc.accumulate(mv, fn.out_flow[base + j]);
         }
       }
-    }
-    support::omp_barrier_sync(&buckets);  // scatter writes -> merge reads
-
-    // --- Merge: this thread owns supernodes [mfirst, mlast) and the arcs
-    // whose source lies in that range.  Concatenating scanner buckets in
-    // scanner order keeps duplicates in member-vertex order, so the stable
-    // sort sums parallel super-arcs in a thread-count-invariant order.
-    auto& mine = merged[t];
-    std::size_t total = 0;
-    for (int s = 0; s < threads; ++s) total += buckets[s][t].size();
-    mine.reserve(total);
-    for (int s = 0; s < threads; ++s) {
-      mine.insert(mine.end(), buckets[s][t].begin(), buckets[s][t].end());
-      buckets[s][t].clear();
-      buckets[s][t].shrink_to_fit();
-    }
-    std::stable_sort(mine.begin(), mine.end(),
-                     [](const graph::Edge& a, const graph::Edge& b) {
-                       return a.src != b.src ? a.src < b.src : a.dst < b.dst;
-                     });
-    std::size_t w = 0;
-    for (std::size_t i = 0; i < mine.size();) {
-      graph::Edge e = mine[i];
-      std::size_t j = i + 1;
-      while (j < mine.size() && mine[j].src == e.src && mine[j].dst == e.dst) {
-        e.weight += mine[j].weight;
-        ++j;
+      out.node_flow[m] = node_flow;
+      out.teleport_flow[m] = teleport_flow;
+      out.orig_count[m] = orig;
+      const auto row = acc.finalize();
+      const std::size_t row_first = arcs.size();
+      for (const hashdb::KeyValue& kv : row) {
+        arcs.push_back(graph::Arc{kv.key, kv.value});
       }
-      mine[w++] = e;
-      i = j;
+      std::sort(arcs.begin() + static_cast<std::ptrdiff_t>(row_first),
+                arcs.end(), [](const graph::Arc& a, const graph::Arc& b) {
+                  return a.dst < b.dst;
+                });
+      rows.out_offsets[m + 1] = row.size();
     }
-    mine.resize(w);
-
-    // Fold the per-scanner aggregate partials for the owned module range.
-    const auto mfirst = static_cast<VertexId>(std::uint64_t{k} * t / threads);
-    const auto mlast =
-        static_cast<VertexId>(std::uint64_t{k} * (t + 1) / threads);
-    for (VertexId m = mfirst; m < mlast; ++m) {
-      for (int s = 0; s < threads; ++s) {
-        out.node_flow[m] += flow_part[s][m];
-        out.teleport_flow[m] += tp_part[s][m];
-        out.orig_count[m] += cnt_part[s][m];
-      }
-    }
-    support::omp_barrier_sync(&buckets);  // merged slices: team -> main
+    support::omp_barrier_sync(&row_arcs);  // rows: team -> main
   }
 
-  std::size_t total_edges = 0;
-  for (const auto& m : merged) total_edges += m.size();
-  std::vector<graph::Edge> edges;
-  edges.reserve(total_edges);
-  for (auto& m : merged) {
-    edges.insert(edges.end(), m.begin(), m.end());
+  // The per-thread row runs concatenate in module order.
+  for (std::size_t m = 0; m < k; ++m) {
+    rows.out_offsets[m + 1] += rows.out_offsets[m];
   }
-  out.graph = graph::CsrGraph::from_edges(
-      graph::EdgeList::from_coalesced(std::move(edges),
-                                      static_cast<VertexId>(k)),
-      static_cast<VertexId>(k));
+  rows.out_arcs.reserve(rows.out_offsets[k]);
+  for (const auto& arcs : row_arcs) {
+    rows.out_arcs.insert(rows.out_arcs.end(), arcs.begin(), arcs.end());
+  }
 
-  out.out_flow.resize(out.graph.num_arcs());
-  out.in_flow.resize(out.graph.num_arcs());
-  support::tsan_release(&out);
-#pragma omp parallel num_threads(threads)
+  // In side: one counting transpose.  Scanning sources in ascending order
+  // leaves every in-row ascending.
+  rows.in_offsets.assign(k + 1, 0);
+  for (const graph::Arc& a : rows.out_arcs) ++rows.in_offsets[a.dst + 1];
+  for (std::size_t m = 0; m < k; ++m) {
+    rows.in_offsets[m + 1] += rows.in_offsets[m];
+  }
+  rows.in_arcs.resize(rows.out_arcs.size());
   {
-    support::tsan_acquire(&out);
-#pragma omp for schedule(static) nowait
-    for (std::int64_t ui = 0; ui < static_cast<std::int64_t>(k); ++ui) {
-      const auto u = static_cast<VertexId>(ui);
-      const std::size_t obase =
-          static_cast<std::size_t>(out.graph.out_offset(u));
-      const auto oarcs = out.graph.out_neighbors(u);
-      for (std::size_t i = 0; i < oarcs.size(); ++i) {
-        out.out_flow[obase + i] = oarcs[i].weight;
-      }
-      const std::size_t ibase =
-          static_cast<std::size_t>(out.graph.in_offset(u));
-      const auto iarcs = out.graph.in_neighbors(u);
-      for (std::size_t i = 0; i < iarcs.size(); ++i) {
-        out.in_flow[ibase + i] = iarcs[i].weight;
+    std::vector<graph::EdgeId> cursor(rows.in_offsets.begin(),
+                                      rows.in_offsets.end() - 1);
+    for (std::size_t u = 0; u < k; ++u) {
+      for (graph::EdgeId e = rows.out_offsets[u]; e < rows.out_offsets[u + 1];
+           ++e) {
+        const graph::Arc& a = rows.out_arcs[e];
+        rows.in_arcs[cursor[a.dst]++] =
+            graph::Arc{static_cast<VertexId>(u), a.weight};
       }
     }
-    support::omp_barrier_sync(&out);
+  }
+  out.graph = CsrGraph::from_rows(std::move(rows));
+
+  // At supernode levels, arc flow == arc weight (already aggregated flow).
+  out.out_flow.reserve(out.graph.num_arcs());
+  out.in_flow.reserve(out.graph.num_arcs());
+  for (VertexId u = 0; u < out.graph.num_vertices(); ++u) {
+    for (const graph::Arc& a : out.graph.out_neighbors(u)) {
+      out.out_flow.push_back(a.weight);
+    }
+    for (const graph::Arc& a : out.graph.in_neighbors(u)) {
+      out.in_flow.push_back(a.weight);
+    }
   }
   return out;
 }

@@ -71,20 +71,16 @@ FlowNetwork build_flow(const CsrGraph& g, const FlowOptions& options = {});
 /// flow ("If multiple vertices of one super node are connected to another
 /// super node, a single super edge is created with accumulated edge
 /// weights").  Intra-module flow disappears into the supernode.
+///
+/// Computed as the SpGEMM P^T * A * P, Gustavson style, on the kernel's
+/// FlatAccumulator: vertices are counting-sorted by module, and each
+/// module's row of neighbor-module flows is accumulated over its members
+/// and sorted by neighbor; the in side is one counting transpose.  Threads
+/// take contiguous module ranges of about equal member-arc work.  Every
+/// super-arc flow, node flow and teleport flow is a left fold over members
+/// in ascending id order (arcs in row order), so the result is bitwise the
+/// same for every `threads`.
 FlowNetwork contract_network(const FlowNetwork& fn, const Partition& modules,
-                             std::size_t num_modules);
-
-/// Parallel Convert2SuperNode (the PCPM-style partition-centric shape):
-/// scanner threads walk disjoint vertex ranges and scatter cross-module
-/// arcs into per-(scanner, owner) buckets partitioned by source supernode;
-/// owner threads then stable-sort and merge their slice, and the slices
-/// concatenate into a globally sorted coalesced super-edge list with no
-/// serial sort.  Super-arc weights are summed in member-vertex order, so
-/// the result is identical to the serial contract_network up to the
-/// floating-point rounding of the per-thread aggregate merge.
-FlowNetwork contract_network_parallel(const FlowNetwork& fn,
-                                      const Partition& modules,
-                                      std::size_t num_modules,
-                                      int num_threads);
+                             std::size_t num_modules, int threads = 1);
 
 }  // namespace asamap::core

@@ -6,7 +6,7 @@
 ///
 ///   PageRank            -> build_flow (flow.hpp)
 ///   FindBestCommunity   -> a SweepExecutor's sweeps over kernel.hpp
-///   Convert2SuperNode   -> contract_network_parallel (flow.hpp)
+///   Convert2SuperNode   -> contract_network (flow.hpp)
 ///   UpdateMembers       -> composition of level partitions
 ///
 /// Only the FindBestCommunity sweep differs between serial, threaded and

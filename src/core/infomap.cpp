@@ -130,11 +130,10 @@ bool MultilevelRun::end_level(int threads) {
   if (communities_ == n || communities_ <= 1) return false;
   if (result_.interrupted) return false;
 
-  // Convert2SuperNode kernel (the serial contraction at 1 thread).
+  // Convert2SuperNode kernel.
   {
     obs::KernelSpan span(ktimers_, obs::KernelPhase::kConvert2SuperNode);
-    contracted_ =
-        contract_network_parallel(*fn_, assignment, communities_, threads);
+    contracted_ = contract_network(*fn_, assignment, communities_, threads);
     fn_ = &contracted_;
   }
   ++level_;
@@ -325,6 +324,7 @@ std::uint64_t parallel_sweeps(const LevelSweep& lv, int max_sweeps,
   std::uint64_t moves = 0;        // this sweep's moves (phase 2 only)
   double prev_codelength = state.codelength();
   bool done = false;
+  const std::size_t traced_before = result.trace.size();
   support::WallTimer sweep_wall;  // reset by each sweep's last phase 2
 
   // End-of-sweep bookkeeping, run inside the last round's phase 2 so
@@ -452,6 +452,12 @@ std::uint64_t parallel_sweeps(const LevelSweep& lv, int max_sweeps,
     // Team -> main: per-thread accumulators/breakdowns are folded after
     // the region, and libgomp's pool handoff is invisible to TSAN.
     support::omp_barrier_sync(&ws);
+  }
+  // The last sweep's row closed inside its phase 2; charge it the closing
+  // barriers and the region exit too, so the sweep rows add up to the span
+  // around this call.
+  if (result.trace.size() > traced_before) {
+    result.trace.back().wall_seconds += sweep_wall.seconds();
   }
   return total_moves;
 }

@@ -125,9 +125,8 @@ TEST(ParallelQuality, DirectedFlowModelWorks) {
 // --- Multi-round verify.  The driver verifies proposals in fixed rounds of
 // 1024 vertex ids, so graphs above that size exercise cross-round
 // verification: later rounds propose against moves applied by earlier
-// ones.  n = 20000 gives ~20 rounds at level 0 and is above the parallel
-// contraction's size cutoff, so 2/4 threads also take the parallel
-// contraction path.
+// ones.  n = 20000 gives ~20 rounds at level 0, and 2/4 threads also split
+// the contraction's module rows across the team.
 
 const graph::CsrGraph& multi_round_graph() {
   static const graph::CsrGraph g = [] {

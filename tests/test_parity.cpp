@@ -247,8 +247,8 @@ void expect_pinned(const char* what, double codelength,
       << want_hash;
 }
 
-/// 20k vertices: above the 16,384-node cutoff of the parallel contraction,
-/// so multi-thread runs take the parallel Convert2SuperNode path.
+/// 20k vertices: enough module rows that multi-thread runs split
+/// Convert2SuperNode across the team.
 const graph::CsrGraph& pin_graph() {
   static const graph::CsrGraph g = [] {
     gen::ChungLuParams params;
