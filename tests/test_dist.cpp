@@ -18,6 +18,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "asamap/core/infomap.hpp"
@@ -25,12 +26,15 @@
 #include "asamap/dist/partition_map.hpp"
 #include "asamap/dist/router.hpp"
 #include "asamap/dist/shard.hpp"
+#include "asamap/fault/fault.hpp"
 #include "asamap/gen/generators.hpp"
 #include "asamap/metrics/partition.hpp"
 #include "asamap/net/frame.hpp"
 #include "asamap/net/server.hpp"
+#include "asamap/obs/build_info.hpp"
 #include "asamap/obs/tracing.hpp"
 #include "asamap/serve/session.hpp"
+#include "ops_pin.hpp"
 
 namespace {
 
@@ -618,6 +622,126 @@ TEST(RouterMisconfiguration, NonShardGlobalRepliesAreRefusedNotMisMerged) {
   ::shutdown(listen_fd, SHUT_RDWR);
   ::close(listen_fd);
   responder.join();
+}
+
+// --- OpsPin: the router's ops verbs as a client sees them ----------------
+// The twin of the OpsPin tests in test_serve.cpp, on a router over zero
+// shards (the ops verbs never need one; the FLEET forms report an empty
+// fleet).
+
+TEST(OpsPin, RouterEnvelopeHeaders) {
+  dist::Router router{dist::RouterConfig{}};
+  const std::string prom = "OK format=prometheus bytes=<payload>";
+  const std::string json = "OK format=json bytes=<payload>";
+  const std::vector<std::pair<std::string, std::string>> pins = {
+      {"METRICS", prom},
+      {"METRICS prom", prom},
+      {"METRICS json", json},
+      {"METRICS WINDOW", prom},
+      {"METRICS WINDOW prom", prom},
+      {"METRICS WINDOW prometheus", prom},
+      {"METRICS WINDOW json", json},
+      {"METRICS FLEET", prom},
+      {"METRICS FLEET prom", prom},
+      {"METRICS FLEET prometheus", prom},
+      {"METRICS FLEET json", json},
+      {"HEALTH", "OK status=healthy slos=3 bytes=<payload>"},
+      {"HEALTH FLEET",
+       "OK status=healthy shards=0 up=0 down=0 bytes=<payload>"},
+      {"TRACE DUMP", "OK format=chrome-trace bytes=<payload>"},
+  };
+  for (const auto& [line, header] : pins) {
+    EXPECT_EQ(ops_pin::pinned_header(router.handle_line(line)), header)
+        << line;
+  }
+}
+
+TEST(OpsPin, RouterJsonScrapesCarryTheEnvelope) {
+  dist::Router router{dist::RouterConfig{}};
+  const std::vector<std::string> envelope = {
+      "bench", "host_max_threads", "single_core_caveat", "git_rev",
+      "timestamp_utc"};
+  const std::vector<std::pair<std::string, std::vector<std::string>>> pins =
+      {{"router_metrics", {"metrics"}},
+       {"router_metrics_window", {"window"}},
+       {"router_metrics_fleet", {"shards", "up", "down", "down_list",
+                                 "fleet"}}};
+  const char* lines[] = {"METRICS json", "METRICS WINDOW json",
+                         "METRICS FLEET json"};
+  for (std::size_t i = 0; i < pins.size(); ++i) {
+    std::string payload;
+    ops_pin::pinned_header(router.handle_line(lines[i]), &payload);
+    std::vector<std::string> keys = envelope;
+    keys.insert(keys.end(), pins[i].second.begin(), pins[i].second.end());
+    EXPECT_EQ(ops_pin::top_level_keys(payload), keys) << lines[i];
+    EXPECT_EQ(ops_pin::string_member(payload, "bench"), pins[i].first);
+    EXPECT_EQ(payload.substr(payload.size() - 2), "\n}") << lines[i];
+  }
+}
+
+TEST(OpsPin, RouterHealthPayloadListsEverySlo) {
+  dist::Router router{dist::RouterConfig{}};
+  std::string payload;
+  ops_pin::pinned_header(router.handle_line("HEALTH"), &payload);
+  EXPECT_EQ(ops_pin::slo_heads(payload),
+            (std::vector<std::string>{"slo=availability status=ok",
+                                      "slo=latency_p99 status=ok",
+                                      "slo=shards status=ok"}));
+}
+
+TEST(OpsPin, RouterTraceStatusAndMark) {
+  dist::Router router{dist::RouterConfig{}};
+  EXPECT_EQ(ops_pin::masked(router.handle_line("TRACE STATUS"),
+                            {"enabled", "rings", "capacity", "recorded",
+                             "dropped"}),
+            "OK enabled=# rings=# capacity=# recorded=# dropped=#");
+  EXPECT_EQ(router.handle_line("TRACE MARK deploy  v2"),
+            "ERR invalid_argument usage: TRACE DUMP | TRACE STATUS");
+}
+
+TEST(OpsPin, RouterStatsIdentitySuffix) {
+  dist::Router router{dist::RouterConfig{}};
+  const std::string stats = router.handle_line("STATS");
+  const std::size_t at = stats.find(" uptime=");
+  ASSERT_NE(at, std::string::npos) << stats;
+  EXPECT_EQ(ops_pin::masked(stats.substr(at), {"uptime"}),
+            std::string(" uptime=# rev=") + obs::build_git_rev() +
+                " build=" + obs::build_mode() + " faults=" +
+                (fault::kFaultInjectionEnabled ? "1" : "0") +
+                " accumulator=hotset");
+}
+
+TEST(OpsPin, RouterMalformedForms) {
+  dist::Router router{dist::RouterConfig{}};
+  const std::vector<std::pair<std::string, std::string>> pins = {
+      {"METRICS json extra",
+       "ERR invalid_argument usage: METRICS [WINDOW|FLEET] [prom|json]"},
+      {"METRICS yaml", "ERR invalid_argument unknown metrics format"},
+      {"METRICS prometheus", "ERR invalid_argument unknown metrics format"},
+      {"METRICS WINDOW json extra",
+       "ERR invalid_argument usage: METRICS WINDOW [prom|json]"},
+      {"METRICS WINDOW yaml",
+       "ERR invalid_argument METRICS WINDOW: unknown format 'yaml' (want "
+       "prom or json)"},
+      {"METRICS FLEET json extra",
+       "ERR invalid_argument usage: METRICS FLEET [prom|json]"},
+      {"METRICS FLEET yaml",
+       "ERR invalid_argument METRICS FLEET: unknown format 'yaml' (want "
+       "prom or json)"},
+      {"HEALTH now", "ERR invalid_argument usage: HEALTH [FLEET]"},
+      {"TRACE", "ERR invalid_argument usage: TRACE DUMP | TRACE STATUS"},
+      {"TRACE BOGUS",
+       "ERR invalid_argument usage: TRACE DUMP | TRACE STATUS"},
+      {"TRACE DUMP extra",
+       "ERR invalid_argument usage: TRACE DUMP | TRACE STATUS"},
+      {"TRACE STATUS extra",
+       "ERR invalid_argument usage: TRACE DUMP | TRACE STATUS"},
+      {"TRACE MARK",
+       "ERR invalid_argument usage: TRACE DUMP | TRACE STATUS"},
+  };
+  for (const auto& [line, want] : pins) {
+    EXPECT_EQ(router.handle_line(line), want) << line;
+  }
 }
 
 }  // namespace

@@ -13,15 +13,19 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "asamap/fault/fault.hpp"
 #include "asamap/gen/generators.hpp"
+#include "asamap/obs/build_info.hpp"
 #include "asamap/obs/metrics.hpp"
 #include "asamap/serve/graph_registry.hpp"
 #include "asamap/serve/job_scheduler.hpp"
 #include "asamap/serve/partition_store.hpp"
 #include "asamap/serve/session.hpp"
 #include "asamap/support/rng.hpp"
+#include "ops_pin.hpp"
 
 namespace {
 
@@ -841,6 +845,122 @@ TEST(ServeSession, HandleBatchRecordsPerVerbMetrics) {
   EXPECT_EQ(reg.counter_total("asamap_serve_errors_total"), 1u);
   EXPECT_EQ(reg.histogram_merged_all("asamap_serve_request_seconds").count(),
             reg.counter_sum("asamap_serve_requests_total"));
+}
+
+// --- OpsPin: the ops verbs as a client sees them -------------------------
+// Header lines, envelope byte counts and the exact answer to every
+// malformed form of METRICS / METRICS WINDOW / HEALTH / TRACE, plus the
+// STATS build-identity suffix.  The router's twin is in test_dist.cpp.
+
+TEST(OpsPin, SessionEnvelopeHeaders) {
+  ServeSession session(test_config());
+  const std::string prom = "OK format=prometheus bytes=<payload>";
+  const std::string json = "OK format=json bytes=<payload>";
+  const std::vector<std::pair<std::string, std::string>> pins = {
+      {"METRICS", prom},
+      {"METRICS prom", prom},
+      {"METRICS prometheus", prom},
+      {"METRICS json", json},
+      {"METRICS WINDOW", prom},
+      {"METRICS WINDOW prom", prom},
+      {"METRICS WINDOW prometheus", prom},
+      {"METRICS WINDOW json", json},
+      {"HEALTH", "OK status=healthy slos=3 bytes=<payload>"},
+      {"TRACE DUMP", "OK format=chrome-trace bytes=<payload>"},
+  };
+  for (const auto& [line, header] : pins) {
+    EXPECT_EQ(ops_pin::pinned_header(session.handle_line(line)), header)
+        << line;
+  }
+}
+
+TEST(OpsPin, SessionJsonScrapesCarryTheEnvelope) {
+  ServeSession session(test_config());
+  const std::vector<std::string> envelope = {
+      "bench", "host_max_threads", "single_core_caveat", "git_rev",
+      "timestamp_utc"};
+  std::string payload;
+  ops_pin::pinned_header(session.handle_line("METRICS json"), &payload);
+  std::vector<std::string> keys = envelope;
+  keys.push_back("metrics");
+  EXPECT_EQ(ops_pin::top_level_keys(payload), keys);
+  EXPECT_EQ(ops_pin::string_member(payload, "bench"), "serve_metrics");
+  EXPECT_EQ(payload.front(), '{');
+  EXPECT_EQ(payload.substr(payload.size() - 2), "\n}");
+
+  ops_pin::pinned_header(session.handle_line("METRICS WINDOW json"),
+                         &payload);
+  keys = envelope;
+  keys.push_back("window");
+  EXPECT_EQ(ops_pin::top_level_keys(payload), keys);
+  EXPECT_EQ(ops_pin::string_member(payload, "bench"), "serve_metrics_window");
+  EXPECT_EQ(payload.substr(payload.size() - 2), "\n}");
+}
+
+TEST(OpsPin, SessionHealthPayloadListsEverySlo) {
+  ServeSession session(test_config());
+  std::string payload;
+  ops_pin::pinned_header(session.handle_line("HEALTH"), &payload);
+  EXPECT_EQ(ops_pin::slo_heads(payload),
+            (std::vector<std::string>{"slo=availability status=ok",
+                                      "slo=latency_p99 status=ok",
+                                      "slo=breaker status=ok"}));
+}
+
+TEST(OpsPin, SessionTraceStatusAndMark) {
+  ServeSession session(test_config());
+  const std::string status = ops_pin::masked(
+      session.handle_line("TRACE STATUS"),
+      {"enabled", "rings", "capacity", "recorded", "dropped",
+       "dropped_fraction"});
+  const std::string want =
+      "OK enabled=# rings=# capacity=# recorded=# dropped=# "
+      "dropped_fraction=#";
+  EXPECT_TRUE(status == want || status == want + " warning=ring_wrapped")
+      << status;
+  EXPECT_EQ(session.handle_line("TRACE MARK deploy  v2"),
+            "OK marked=deploy v2");
+}
+
+TEST(OpsPin, SessionStatsIdentitySuffix) {
+  ServeSession session(test_config());
+  const std::string stats = session.handle_line("STATS");
+  const std::size_t at = stats.find(" uptime=");
+  ASSERT_NE(at, std::string::npos) << stats;
+  EXPECT_EQ(ops_pin::masked(stats.substr(at), {"uptime"}),
+            std::string(" uptime=# rev=") + obs::build_git_rev() +
+                " build=" + obs::build_mode() + " faults=" +
+                (fault::kFaultInjectionEnabled ? "1" : "0") +
+                " accumulator=hotset");
+}
+
+TEST(OpsPin, SessionMalformedForms) {
+  ServeSession session(test_config());
+  const std::vector<std::pair<std::string, std::string>> pins = {
+      {"METRICS json extra",
+       "ERR invalid_argument usage: METRICS [WINDOW] [prom|json]"},
+      {"METRICS yaml",
+       "ERR invalid_argument METRICS: unknown format 'yaml' (want prom or "
+       "json)"},
+      {"METRICS WINDOW json extra",
+       "ERR invalid_argument usage: METRICS WINDOW [prom|json]"},
+      {"METRICS WINDOW yaml",
+       "ERR invalid_argument METRICS WINDOW: unknown format 'yaml' (want "
+       "prom or json)"},
+      {"HEALTH now", "ERR invalid_argument usage: HEALTH"},
+      {"TRACE",
+       "ERR invalid_argument usage: TRACE DUMP | TRACE STATUS | TRACE MARK "
+       "<label>"},
+      {"TRACE BOGUS",
+       "ERR invalid_argument usage: TRACE DUMP | TRACE STATUS | TRACE MARK "
+       "<label>"},
+      {"TRACE DUMP extra", "ERR invalid_argument usage: TRACE DUMP"},
+      {"TRACE STATUS extra", "ERR invalid_argument usage: TRACE STATUS"},
+      {"TRACE MARK", "ERR invalid_argument usage: TRACE MARK <label>"},
+  };
+  for (const auto& [line, want] : pins) {
+    EXPECT_EQ(session.handle_line(line), want) << line;
+  }
 }
 
 }  // namespace
