@@ -40,7 +40,7 @@
 
 #include <omp.h>
 
-#include "asamap/benchutil/json_env.hpp"
+#include "asamap/obs/envelope.hpp"
 #include "asamap/benchutil/table.hpp"
 #include "asamap/core/infomap.hpp"
 #include "asamap/gen/generators.hpp"
@@ -149,7 +149,7 @@ double replay_accumulation(const graph::CsrGraph& g,
 
 int main(int argc, char** argv) {
   const Config cfg = parse(argc, argv);
-  const auto env = benchutil::make_envelope("parallel_scaling");
+  const auto env = obs::make_envelope("parallel_scaling");
 
   benchutil::banner(std::cout, "Native fast path: accumulator + thread scaling");
   std::cout << "Chung-Lu graph: n=" << cfg.n << " target_edges=" << cfg.edges
@@ -333,7 +333,7 @@ int main(int argc, char** argv) {
   std::ofstream js(cfg.out);
   js.precision(9);
   js << "{\n";
-  benchutil::write_envelope_fields(js, env);
+  obs::write_envelope_fields(js, env);
   js << "  \"graph\": {\"generator\": \"chung_lu\", \"n\": " << g.num_vertices()
      << ", \"arcs\": " << g.num_arcs() << ", \"gamma\": 2.5, \"seed\": "
      << cfg.seed << "},\n"

@@ -88,7 +88,7 @@
 #include <thread>
 #include <vector>
 
-#include "asamap/benchutil/json_env.hpp"
+#include "asamap/obs/envelope.hpp"
 #include "asamap/benchutil/table.hpp"
 #include "asamap/dist/router.hpp"
 #include "asamap/dist/shard.hpp"
@@ -1276,8 +1276,8 @@ int main(int argc, char** argv) try {
   std::ofstream js(out_path);
   js.precision(9);
   js << "{\n";
-  benchutil::write_envelope_fields(js,
-                                   benchutil::make_envelope("serve_throughput"));
+  obs::write_envelope_fields(js,
+                                   obs::make_envelope("serve_throughput"));
   js << "  \"config\": {\"clients\": " << clients << ", \"workers\": "
      << workers << ", \"window_seconds\": " << seconds
      << ", \"batch_capacity\": " << config.scheduler.batch_capacity

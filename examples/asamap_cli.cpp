@@ -23,7 +23,6 @@
 #include <thread>
 #include <vector>
 
-#include "asamap/benchutil/json_env.hpp"
 #include "asamap/core/infomap.hpp"
 #include "asamap/obs/tracing.hpp"
 #include "asamap/gen/datasets.hpp"
@@ -32,6 +31,7 @@
 #include "asamap/metrics/partition_io.hpp"
 #include "asamap/obs/metrics.hpp"
 #include "asamap/obs/window.hpp"
+#include "asamap/serve/ops_surface.hpp"
 #include "asamap/support/argparse.hpp"
 #include "asamap/support/timer.hpp"
 
@@ -157,13 +157,7 @@ int cmd_cluster(const support::ArgParser& args) {
   // extra 1×1h "run" tier always covers the full run.
   obs::WindowConfig window_config;
   window_config.tiers.push_back({3'600'000'000'000ULL, 1, "run"});
-  const auto mono_ns = [] {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-  };
-  obs::WindowStore window(registry, window_config, mono_ns());
+  obs::WindowStore window(registry, window_config, obs::mono_now_ns());
 
   support::WallTimer timer;
   core::InfomapResult result;
@@ -200,24 +194,17 @@ int cmd_cluster(const support::ArgParser& args) {
   if (metrics_format == "prom" || metrics_format == "prometheus") {
     registry.write_prometheus(std::cout);
   } else if (metrics_format == "json") {
-    std::cout << "{\n";
-    benchutil::write_envelope_fields(
-        std::cout, benchutil::make_envelope("cli_metrics"), "  ");
-    std::cout << "  \"metrics\": ";
-    registry.write_json(std::cout, "  ");
-    std::cout << "\n}\n";
+    std::cout << serve::OpsSurface::metrics_json(registry, "cli_metrics")
+              << '\n';
   }
 
   // Windowed rates/quantiles of this run (the METRICS WINDOW view).
   if (window_format == "prom" || window_format == "prometheus") {
-    window.write_prometheus(std::cout, mono_ns());
+    window.write_prometheus(std::cout, obs::mono_now_ns());
   } else if (window_format == "json") {
-    std::cout << "{\n";
-    benchutil::write_envelope_fields(
-        std::cout, benchutil::make_envelope("cli_metrics_window"), "  ");
-    std::cout << "  \"window\": ";
-    window.write_json(std::cout, mono_ns(), "  ");
-    std::cout << "\n}\n";
+    std::cout << serve::OpsSurface::window_json(window, obs::mono_now_ns(),
+                                                "cli_metrics_window")
+              << '\n';
   }
 
   if (const auto trace_out = args.get("trace-out")) {

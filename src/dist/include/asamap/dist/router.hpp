@@ -23,8 +23,10 @@
 ///                   run_distributed_infomap — same kernels, same order,
 ///                   same codelength)
 ///   SHARDS        → per-shard up/breaker status
-///   METRICS WINDOW [prom|json]
-///                 → windowed rates/quantiles over the router's own registry
+///   METRICS [WINDOW] [prom|json], HEALTH, TRACE, STATS identity
+///                 → serve::OpsSurface over the router's own registry and
+///                   windows, answered byte for byte as ServeSession does;
+///                   HEALTH adds a shards SLO from last-known liveness
 ///   METRICS FLEET [prom|json]
 ///                 → federation (ISSUE 10): scrape every shard's `METRICS
 ///                   json`, re-label each series with shard="K", sum
@@ -33,8 +35,6 @@
 ///                   scrape shows the whole tier.  A down shard is reported
 ///                   (asamap_fleet_shards_down, shard_scraped=0), never an
 ///                   error.
-///   HEALTH        → router-local SLO evaluation (availability/latency over
-///                   the router's windows + last-known shard liveness)
 ///   HEALTH FLEET  → live-probes every shard's HEALTH, folds the per-shard
 ///                   verdicts and liveness into one fleet verdict: any
 ///                   shard down or degraded ⇒ at least degraded; more than
@@ -71,6 +71,7 @@
 #include "asamap/obs/metrics.hpp"
 #include "asamap/obs/window.hpp"
 #include "asamap/serve/handler.hpp"
+#include "asamap/serve/ops_surface.hpp"
 #include "asamap/support/histogram.hpp"
 
 namespace asamap::dist {
@@ -188,9 +189,6 @@ class Router : public serve::RequestHandler {
   std::string run_dist_cluster(const std::string& name);
   std::string handle_shards();
   std::string handle_stats();
-  std::string handle_metrics(const std::vector<std::string_view>& tokens);
-  std::string handle_trace(const std::vector<std::string_view>& tokens);
-  std::string handle_health(const std::vector<std::string_view>& tokens);
 
   // --- observability plane (ISSUE 10) -------------------------------------
 
@@ -204,13 +202,8 @@ class Router : public serve::RequestHandler {
     support::LatencyHistogram hist;
   };
 
-  /// Windowed rates over the router's own registry.
-  std::string render_window(std::string_view format);
-  /// Router-local HEALTH: own SLOs + last-known (not probed) shard
-  /// liveness.
-  std::string render_health();
-  /// METRICS FLEET: scrape every shard, relabel, aggregate.
-  std::string fleet_metrics(std::string_view format);
+  /// METRICS FLEET [prom|json]: scrape every shard, relabel, aggregate.
+  std::string fleet_metrics(const std::vector<std::string_view>& tokens);
   /// HEALTH FLEET: live-probe every shard's HEALTH, fold the verdicts.
   std::string fleet_health();
   /// Scrapes shard `i`'s `METRICS json` and parses its asamap_* series.
@@ -237,6 +230,9 @@ class Router : public serve::RequestHandler {
   obs::MetricRegistry metrics_;
   obs::WindowStore window_;
   obs::HealthTracker health_;
+  /// METRICS / METRICS WINDOW / HEALTH / TRACE and the STATS identity, the
+  /// same surface ServeSession answers with; HEALTH gets liveness_inputs().
+  serve::OpsSurface ops_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
   std::unordered_map<std::string_view, VerbMetrics> verb_metrics_;
@@ -248,7 +244,6 @@ class Router : public serve::RequestHandler {
   obs::Counter* degraded_total_ = nullptr;
   obs::Counter* stale_total_ = nullptr;
   obs::Counter* errors_total_ = nullptr;
-  obs::Gauge* uptime_ = nullptr;
   obs::Gauge* fleet_up_ = nullptr;
   obs::Gauge* fleet_down_ = nullptr;
 

@@ -1,86 +1,25 @@
 #include "asamap/dist/router.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
-#include <cstdio>
 #include <numeric>
 #include <sstream>
 #include <thread>
 
-#include "asamap/benchutil/json_env.hpp"
-#include "asamap/fault/fault.hpp"
-#include "asamap/obs/build_info.hpp"
+#include "asamap/obs/envelope.hpp"
 #include "asamap/obs/tracing.hpp"
+#include "asamap/serve/protocol.hpp"
+#include "asamap/support/backoff.hpp"
 #include "asamap/support/timer.hpp"
 
 namespace asamap::dist {
 
 using graph::VertexId;
+using namespace serve::protocol;
 
 namespace {
 
 constexpr std::size_t kNoShard = static_cast<std::size_t>(-1);
-
-std::string_view trim_trailing_ws(std::string_view s) {
-  while (!s.empty() &&
-         (s.back() == '\r' || s.back() == '\n' || s.back() == ' ' ||
-          s.back() == '\t')) {
-    s.remove_suffix(1);
-  }
-  return s;
-}
-
-void tokenize_into(std::string_view line,
-                   std::vector<std::string_view>& tokens) {
-  tokens.clear();
-  std::size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-    std::size_t j = i;
-    while (j < line.size() && line[j] != ' ' && line[j] != '\t') ++j;
-    if (j > i) tokens.push_back(line.substr(i, j - i));
-    i = j;
-  }
-}
-
-template <typename T>
-bool parse_num(std::string_view s, T& out) {
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
-  return ec == std::errc() && ptr == s.data() + s.size();
-}
-
-bool parse_double(std::string_view s, double& out) {
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
-  return ec == std::errc() && ptr == s.data() + s.size();
-}
-
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
-std::string err(const char* code, std::string_view message) {
-  std::string out = "ERR ";
-  out += code;
-  out += ' ';
-  out += message;
-  return out;
-}
-
-std::string enveloped(const char* format, std::string payload) {
-  std::string out = "OK format=";
-  out += format;
-  out += " bytes=" + std::to_string(payload.size());
-  out += '\n';
-  out += payload;
-  return out;
-}
-
-bool starts_with(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
 
 /// `key=` value on the response's first line, matched at token boundaries;
 /// empty when absent.
@@ -123,36 +62,6 @@ std::string verb_label(std::string_view verb) {
   return "verb=\"" + std::string(verb) + "\"";
 }
 
-/// The monotonic clock the window/health layer is fed from.
-std::uint64_t mono_now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-std::string escape_json(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 /// Inverse of escape_json for the self-produced metric keys a fleet scrape
 /// reads back (only \" \\ \n \t ever appear there).
 std::string json_unescape(std::string_view s) {
@@ -181,7 +90,7 @@ bool json_number_field(std::string_view obj, std::string_view key,
   if (pos == std::string_view::npos) return false;
   std::string_view rest = obj.substr(pos + needle.size());
   const std::size_t end = rest.find_first_of(",}");
-  return parse_double(rest.substr(0, end), out);
+  return parse_num(rest.substr(0, end), out);
 }
 
 /// `"key": "<value>"` lookup inside a one-line JSON object (the buckets
@@ -210,15 +119,14 @@ std::string with_shard_label(const std::string& labels,
 
 Router::Router(const RouterConfig& config)
     : config_(config),
-      window_(metrics_, config_.window, mono_now_ns()),
+      window_(metrics_, config_.window, obs::mono_now_ns()),
       health_(metrics_, window_, config_.slo, "asamap_router_requests_total",
-              "asamap_router_errors_total", "asamap_router_request_seconds") {
+              "asamap_router_errors_total", "asamap_router_request_seconds"),
+      ops_(metrics_, window_, health_, "router") {
   metrics_.gauge("asamap_router_shards")
       .set(static_cast<double>(config_.shards.size()));
-  // Build identity + fleet gauges, pre-registered so a fresh scrape (and
-  // --print-metrics) enumerates the full schema before any FLEET probe.
-  uptime_ = &metrics_.gauge("asamap_uptime_seconds");
-  uptime_->set(obs::process_uptime_seconds());
+  // Fleet gauges, pre-registered so a fresh scrape (and --print-metrics)
+  // enumerates the full schema before any FLEET probe.
   fleet_up_ = &metrics_.gauge("asamap_fleet_shards_up");
   fleet_down_ = &metrics_.gauge("asamap_fleet_shards_down");
   for (const std::string_view verb : kRouterVerbs) {
@@ -282,14 +190,15 @@ bool Router::shard_call(std::size_t i, std::string_view line,
   wire += line;
 
   std::string rejected;  // a delivered `ERR rejected` (ring full)
+  // Decorrelated jitter, seeded per shard so a fleet-wide blip does not
+  // retry every shard in lockstep.
+  support::DecorrelatedBackoff backoff(config_.retry.initial_backoff,
+                                       config_.retry.max_backoff, i);
   for (int attempt = 0; attempt < config_.retry.max_attempts; ++attempt) {
     if (attempt > 0) {
       retries_total_->inc();
       retries_.fetch_add(1, std::memory_order_relaxed);
-      auto backoff = config_.retry.initial_backoff * (1 << (attempt - 1));
-      std::this_thread::sleep_for(
-          std::min<std::chrono::milliseconds>(backoff,
-                                              config_.retry.max_backoff));
+      std::this_thread::sleep_for(backoff.next());
     }
     std::string resp;
     {
@@ -446,9 +355,15 @@ std::string Router::dispatch(std::string_view line,
   }
   if (verb == "SHARDS") return handle_shards();
   if (verb == "STATS") return handle_stats();
-  if (verb == "METRICS") return handle_metrics(tokens);
-  if (verb == "HEALTH") return handle_health(tokens);
-  if (verb == "TRACE") return handle_trace(tokens);
+  if (verb == "METRICS" && tokens.size() >= 2 && tokens[1] == "FLEET") {
+    return fleet_metrics(tokens);
+  }
+  if (verb == "HEALTH" && tokens.size() == 2 && tokens[1] == "FLEET") {
+    return fleet_health();
+  }
+  if (serve::OpsSurface::handles(verb)) {
+    return ops_.handle(tokens, liveness_inputs());
+  }
   if (verb == "QUIT") return "OK bye";
   if (verb == "WAIT" || verb == "CANCEL" || verb == "DELTA" ||
       verb == "FAULTS") {
@@ -757,7 +672,7 @@ std::string Router::handle_topk(const std::vector<std::string_view>& tokens,
       double f = 0.0;
       if (colon == std::string_view::npos ||
           !parse_num(pair.substr(0, colon), c) ||
-          !parse_double(pair.substr(colon + 1), f) || c >= flow.size()) {
+          !parse_num(pair.substr(colon + 1), f) || c >= flow.size()) {
         return err("unavailable", "malformed shard partial");
       }
       flow[c] += f;
@@ -822,8 +737,8 @@ std::string Router::handle_summary(
   }
   const std::string& first = g.responses[0];
   double codelength = 0.0, modularity = 0.0;
-  parse_double(field(first, "codelength="), codelength);
-  parse_double(field(first, "modularity="), modularity);
+  parse_num(field(first, "codelength="), codelength);
+  parse_num(field(first, "modularity="), modularity);
   {
     std::lock_guard<std::mutex> lock(state_mu_);
     graph_n_[name] = static_cast<VertexId>(vertices);
@@ -948,7 +863,7 @@ std::string Router::run_dist_cluster(const std::string& name) {
     return fail("BEGIN incomplete");
   }
   double prev = 0.0;
-  parse_double(field(g.responses[0], "codelength="), prev);
+  parse_num(field(g.responses[0], "codelength="), prev);
 
   int levels = 0;
   std::uint64_t supersteps = 0;
@@ -998,7 +913,7 @@ std::string Router::run_dist_cluster(const std::string& name) {
       std::uint64_t applied = 0;
       double codelength = prev;
       parse_num(field(g.responses[0], "applied="), applied);
-      parse_double(field(g.responses[0], "codelength="), codelength);
+      parse_num(field(g.responses[0], "codelength="), codelength);
       if (applied == 0 ||
           prev - codelength < config_.dist_min_improvement_bits) {
         break;
@@ -1010,7 +925,7 @@ std::string Router::run_dist_cluster(const std::string& name) {
     std::uint64_t done = 0;
     parse_num(field(g.responses[0], "done="), done);
     if (done == 1) break;
-    parse_double(field(g.responses[0], "codelength="), prev);
+    parse_num(field(g.responses[0], "codelength="), prev);
   }
 
   g = broadcast("DCLUSTER COMMIT " + name);
@@ -1022,7 +937,7 @@ std::string Router::run_dist_cluster(const std::string& name) {
   double codelength = 0.0;
   parse_num(field(g.responses[0], "version="), version);
   parse_num(field(g.responses[0], "communities="), communities);
-  parse_double(field(g.responses[0], "codelength="), codelength);
+  parse_num(field(g.responses[0], "codelength="), codelength);
   return "OK mode=dist state=done version=" + std::to_string(version) +
          " communities=" + std::to_string(communities) +
          " codelength=" + fmt_double(codelength) +
@@ -1046,88 +961,14 @@ std::string Router::handle_shards() {
 }
 
 std::string Router::handle_stats() {
-  uptime_->set(obs::process_uptime_seconds());
   return "OK shards=" + std::to_string(shards_.size()) +
          " requests=" + std::to_string(requests_.load()) +
          " retries=" + std::to_string(retries_.load()) +
          " degraded=" + std::to_string(degraded_.load()) +
-         " stale=" + std::to_string(stale_.load()) +
-         // Build identity (ISSUE 10): same fields as the shard STATS line.
-         " uptime=" + fmt_double(obs::process_uptime_seconds()) +
-         " rev=" + obs::build_git_rev() + " build=" + obs::build_mode() +
-         " faults=" + (fault::kFaultInjectionEnabled ? "1" : "0") +
-         " accumulator=hotset";
-}
-
-std::string Router::handle_metrics(
-    const std::vector<std::string_view>& tokens) {
-  if (tokens.size() >= 2 && (tokens[1] == "WINDOW" || tokens[1] == "FLEET")) {
-    const bool fleet = tokens[1] == "FLEET";
-    if (tokens.size() > 3) {
-      return err("invalid_argument",
-                 fleet ? "usage: METRICS FLEET [prom|json]"
-                       : "usage: METRICS WINDOW [prom|json]");
-    }
-    const std::string_view fmt = tokens.size() == 3 ? tokens[2] : "prom";
-    return fleet ? fleet_metrics(fmt) : render_window(fmt);
-  }
-  if (tokens.size() > 2) {
-    return err("invalid_argument", "usage: METRICS [WINDOW|FLEET] [prom|json]");
-  }
-  const std::string_view fmt = tokens.size() == 2 ? tokens[1] : "prom";
-  if (fmt == "prom") {
-    uptime_->set(obs::process_uptime_seconds());
-    std::ostringstream out;
-    metrics_.write_prometheus(out);
-    std::string s = out.str();
-    if (!s.empty() && s.back() == '\n') s.pop_back();
-    return enveloped("prometheus", std::move(s));
-  }
-  if (fmt == "json") {
-    uptime_->set(obs::process_uptime_seconds());
-    std::ostringstream out;
-    out << "{\n";
-    benchutil::write_envelope_fields(
-        out, benchutil::make_envelope("router_metrics"), "  ");
-    out << "  \"metrics\": ";
-    metrics_.write_json(out, "  ");
-    out << "\n}";
-    return enveloped("json", out.str());
-  }
-  return err("invalid_argument", "unknown metrics format");
-}
-
-std::string Router::handle_health(
-    const std::vector<std::string_view>& tokens) {
-  if (tokens.size() == 1) return render_health();
-  if (tokens.size() == 2 && tokens[1] == "FLEET") return fleet_health();
-  return err("invalid_argument", "usage: HEALTH [FLEET]");
+         " stale=" + std::to_string(stale_.load()) + ops_.stats_identity();
 }
 
 // --- observability plane (ISSUE 10) ----------------------------------------
-
-std::string Router::render_window(std::string_view format) {
-  const std::uint64_t now = mono_now_ns();
-  std::ostringstream out;
-  if (format == "prom" || format == "prometheus") {
-    window_.write_prometheus(out, now);
-    std::string s = out.str();
-    if (!s.empty() && s.back() == '\n') s.pop_back();
-    return enveloped("prometheus", std::move(s));
-  }
-  if (format == "json") {
-    out << "{\n";
-    benchutil::write_envelope_fields(
-        out, benchutil::make_envelope("router_metrics_window"), "  ");
-    out << "  \"window\": ";
-    window_.write_json(out, now, "  ");
-    out << "\n}";
-    return enveloped("json", out.str());
-  }
-  return err("invalid_argument",
-             "METRICS WINDOW: unknown format '" + std::string(format) +
-                 "' (want prom or json)");
-}
 
 obs::HealthInputs Router::liveness_inputs() const {
   obs::HealthInputs in;
@@ -1142,20 +983,6 @@ obs::HealthInputs Router::liveness_inputs() const {
     }
   }
   return in;
-}
-
-std::string Router::render_health() {
-  const obs::HealthReport report =
-      health_.evaluate(mono_now_ns(), liveness_inputs());
-  std::string payload = report.render();
-  if (!payload.empty() && payload.back() == '\n') payload.pop_back();
-  std::string out = "OK status=";
-  out += to_string(report.status);
-  out += " slos=" + std::to_string(report.slos.size());
-  out += " bytes=" + std::to_string(payload.size());
-  out += '\n';
-  out += payload;
-  return out;
 }
 
 std::string Router::fleet_health() {
@@ -1182,7 +1009,7 @@ std::string Router::fleet_health() {
   fleet_up_->set(static_cast<double>(in.shards_up));
   fleet_down_->set(static_cast<double>(in.shards_down));
 
-  const obs::HealthReport report = health_.evaluate(mono_now_ns(), in);
+  const obs::HealthReport report = health_.evaluate(obs::mono_now_ns(), in);
   // Fold shard-reported verdicts: a shard that says degraded or unhealthy
   // makes the fleet at least degraded (reads fail over to replicas, so one
   // sick shard never makes the whole tier unhealthy by itself; losing a
@@ -1266,7 +1093,7 @@ bool Router::scrape_shard_metrics(std::size_t i,
       s.is_hist = true;
       s.hist = support::LatencyHistogram::decode(
           sum, mn, mx, json_string_field(value, "buckets"));
-    } else if (!parse_double(value, s.value)) {
+    } else if (!parse_num(value, s.value)) {
       continue;
     }
     out.push_back(std::move(s));
@@ -1274,7 +1101,12 @@ bool Router::scrape_shard_metrics(std::size_t i,
   return true;
 }
 
-std::string Router::fleet_metrics(std::string_view format) {
+std::string Router::fleet_metrics(
+    const std::vector<std::string_view>& tokens) {
+  if (tokens.size() > 3) {
+    return err("invalid_argument", "usage: METRICS FLEET [prom|json]");
+  }
+  const std::string_view format = tokens.size() == 3 ? tokens[2] : "prom";
   if (format != "prom" && format != "prometheus" && format != "json") {
     return err("invalid_argument",
                "METRICS FLEET: unknown format '" + std::string(format) +
@@ -1342,8 +1174,8 @@ std::string Router::fleet_metrics(std::string_view format) {
   if (format == "json") {
     std::ostringstream out;
     out << "{\n";
-    benchutil::write_envelope_fields(
-        out, benchutil::make_envelope("router_metrics_fleet"), "  ");
+    obs::write_envelope_fields(
+        out, obs::make_envelope("router_metrics_fleet"), "  ");
     out << "  \"shards\": " << shards_.size() << ",\n";
     out << "  \"up\": " << up << ",\n";
     out << "  \"down\": " << (shards_.size() - up) << ",\n";
@@ -1354,7 +1186,7 @@ std::string Router::fleet_metrics(std::string_view format) {
                           const std::string& rendered) {
       out << (first ? "\n" : ",\n");
       first = false;
-      out << "    \"" << escape_json(name + '{' + labels + '}')
+      out << "    \"" << obs::escape_json(name + '{' + labels + '}')
           << "\": " << rendered;
     };
     for (std::size_t i = 0; i < per_shard.size(); ++i) {
@@ -1434,29 +1266,6 @@ std::string Router::fleet_metrics(std::string_view format) {
   }
   if (!text.empty() && text.back() == '\n') text.pop_back();
   return enveloped("prometheus", std::move(text));
-}
-
-std::string Router::handle_trace(
-    const std::vector<std::string_view>& tokens) {
-  constexpr const char* kUsage = "usage: TRACE DUMP | TRACE STATUS";
-  if (tokens.size() != 2) return err("invalid_argument", kUsage);
-  obs::FlightRecorder& rec = obs::FlightRecorder::instance();
-  if (tokens[1] == "DUMP") {
-    std::ostringstream out;
-    rec.write_chrome_json(out);
-    return enveloped("chrome-trace", out.str());
-  }
-  if (tokens[1] == "STATUS") {
-    const obs::TraceStats stats = rec.stats();
-    std::string out = "OK enabled=";
-    out += stats.enabled ? '1' : '0';
-    out += " rings=" + std::to_string(stats.rings) +
-           " capacity=" + std::to_string(stats.ring_capacity) +
-           " recorded=" + std::to_string(stats.recorded) +
-           " dropped=" + std::to_string(stats.dropped);
-    return out;
-  }
-  return err("invalid_argument", kUsage);
 }
 
 }  // namespace asamap::dist

@@ -1,66 +1,19 @@
 #include "asamap/dist/shard.hpp"
 
-#include <charconv>
-#include <cstdio>
 #include <functional>
 #include <utility>
 
 #include "asamap/dist/distributed.hpp"
 #include "asamap/obs/tracing.hpp"
+#include "asamap/serve/protocol.hpp"
 #include "asamap/support/timer.hpp"
 
 namespace asamap::dist {
 
 using graph::VertexId;
+using namespace serve::protocol;
 
 namespace {
-
-// Small local copies of the session.cpp parsing helpers (they are
-// file-local there by design — the protocol surface, not the parser, is
-// the shared contract).
-
-std::string_view trim_trailing_ws(std::string_view s) {
-  while (!s.empty() &&
-         (s.back() == '\r' || s.back() == '\n' || s.back() == ' ' ||
-          s.back() == '\t')) {
-    s.remove_suffix(1);
-  }
-  return s;
-}
-
-void tokenize_into(std::string_view line,
-                   std::vector<std::string_view>& tokens) {
-  tokens.clear();
-  std::size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-    std::size_t j = i;
-    while (j < line.size() && line[j] != ' ' && line[j] != '\t') ++j;
-    if (j > i) tokens.push_back(line.substr(i, j - i));
-    i = j;
-  }
-}
-
-template <typename T>
-bool parse_num(std::string_view s, T& out) {
-  const auto* begin = s.data();
-  const auto* end = s.data() + s.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, out);
-  return ec == std::errc() && ptr == end;
-}
-
-/// Full-precision rendering for router-side merging: %.17g round-trips a
-/// double exactly, so summed partials equal what a local sum of the same
-/// terms produces.
-std::string fmt_full(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::string err(const char* code, const std::string& text) {
-  return std::string("ERR ") + code + " " + text;
-}
 
 /// Tail of `line` starting at token `tokens[from]` — the verbatim rest of
 /// the request for SHARD FORWARD / TRACECTX delegation (preserves inner
@@ -73,6 +26,11 @@ std::string_view line_tail(std::string_view line,
       static_cast<std::size_t>(tokens[from].data() - line.data());
   return line.substr(off);
 }
+
+/// Significant digits that round-trip a double exactly, for the values the
+/// router merges: summed partials then equal what a local sum of the same
+/// terms produces.
+constexpr int kExactDigits = 17;
 
 /// Communities above which a range-partial TOPK response is refused (the
 /// router falls back to SHARD FORWARD).  Bounds the response well under
@@ -260,7 +218,8 @@ std::string ShardSession::handle_ranged_read(
                       " partial=";
     for (std::size_t c = 0; c < rv->partial_flow.size(); ++c) {
       if (c > 0) out += ',';
-      out += std::to_string(c) + ":" + fmt_full(rv->partial_flow[c]);
+      out += std::to_string(c) + ":" +
+             fmt_double(rv->partial_flow[c], kExactDigits);
     }
     return out;
   }
@@ -278,8 +237,8 @@ std::string ShardSession::handle_ranged_read(
          " vertices=" + std::to_string(rv->range.size()) +
          " arcs=" + std::to_string(snap.graph->num_arcs()) +
          " communities=" + std::to_string(snap.num_communities) +
-         " codelength=" + fmt_full(snap.codelength) +
-         " modularity=" + fmt_full(snap.modularity) +
+         " codelength=" + fmt_double(snap.codelength, kExactDigits) +
+         " modularity=" + fmt_double(snap.modularity, kExactDigits) +
          " interrupted=" + (snap.interrupted ? "1" : "0") +
          " job=" + std::to_string(snap.build_job);
 }
@@ -329,7 +288,8 @@ std::string ShardSession::handle_dcluster(
       std::string out =
           "OK graph=" + name +
           " n=" + std::to_string(dc->run.network().num_nodes()) +
-          " codelength=" + fmt_full(dc->run.state().codelength());
+          " codelength=" +
+          fmt_double(dc->run.state().codelength(), kExactDigits);
       dcluster_[name] = std::move(dc);
       return out;
     });
@@ -392,8 +352,8 @@ std::string ShardSession::handle_dcluster(
         const std::size_t applied = dc.pending_applied;
         dc.pending_applied = 0;
         dc.steps.end_superstep(dc.run.state());
-        return "OK applied=" + std::to_string(applied) +
-               " codelength=" + fmt_full(dc.run.state().codelength());
+        return "OK applied=" + std::to_string(applied) + " codelength=" +
+               fmt_double(dc.run.state().codelength(), kExactDigits);
       });
     } else if (op == "LEVEL") {
       response = run_step("level", [&]() -> std::string {
@@ -403,7 +363,8 @@ std::string ShardSession::handle_dcluster(
         }
         dc.begin_level();
         return "OK done=0 n=" + std::to_string(dc.run.network().num_nodes()) +
-               " codelength=" + fmt_full(dc.run.state().codelength());
+               " codelength=" +
+               fmt_double(dc.run.state().codelength(), kExactDigits);
       });
     } else if (op == "COMMIT") {
       bool finished = false;
@@ -415,7 +376,7 @@ std::string ShardSession::handle_dcluster(
                                    serve::make_snapshot(dc.graph, result));
         return "OK version=" + std::to_string(version) +
                " communities=" + std::to_string(result.num_communities) +
-               " codelength=" + fmt_full(result.codelength);
+               " codelength=" + fmt_double(result.codelength, kExactDigits);
       });
       if (finished) dcluster_.erase(name);
     } else if (op == "ABORT") {

@@ -14,6 +14,7 @@
 
 #include "asamap/net/frame.hpp"
 #include "asamap/obs/tracing.hpp"
+#include "asamap/serve/protocol.hpp"
 #include "asamap/support/timer.hpp"
 
 namespace asamap::net {
@@ -366,9 +367,9 @@ void NetServer::conn_readable(Conn& conn) {
     if (d.status == DecodeStatus::kNeedMore) break;
     if (d.status == DecodeStatus::kError) {
       frame_errors_total_->inc();
-      std::string msg = "ERR invalid_argument ";
-      msg += d.error;
-      append_message(msg, false, conn.wbuf);
+      append_message(
+          serve::protocol::err(serve::ServeCode::kInvalidArgument, d.error),
+          false, conn.wbuf);
       conn.closing = true;  // the stream cannot be re-synchronised
       break;
     }

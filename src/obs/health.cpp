@@ -1,18 +1,10 @@
 #include "asamap/obs/health.hpp"
 
-#include <cstdio>
 #include <utility>
 
+#include "asamap/obs/format.hpp"
+
 namespace asamap::obs {
-namespace {
-
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
-}  // namespace
 
 std::string HealthReport::render() const {
   std::string out;

@@ -26,6 +26,7 @@
 /// 6 × 10s (a 60s window) — the fast/slow pair the burn-rate health rules
 /// in health.hpp consume.
 
+#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <ostream>
@@ -38,6 +39,15 @@
 #include "asamap/support/histogram.hpp"
 
 namespace asamap::obs {
+
+/// The monotonic clock the serving processes feed into WindowStore and
+/// HealthTracker: nanoseconds on the process steady clock.
+[[nodiscard]] inline std::uint64_t mono_now_ns() noexcept {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
 
 struct WindowTierConfig {
   std::uint64_t interval_ns = 1'000'000'000;  ///< bucket width

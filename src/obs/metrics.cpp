@@ -1,9 +1,9 @@
 #include "asamap/obs/metrics.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <utility>
 
+#include "asamap/obs/format.hpp"
 #include "asamap/support/check.hpp"
 
 namespace asamap::obs {
@@ -19,34 +19,6 @@ std::string make_key(std::string_view name, std::string_view labels) {
     key += '}';
   }
   return key;
-}
-
-std::string escape_json(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
 }
 
 /// Escapes one stretch of label-value text for the exposition format,
@@ -232,17 +204,17 @@ void MetricRegistry::write_prometheus_sample(std::ostream& os,
          << static_cast<std::uint64_t>(s.value) << '\n';
       break;
     case MetricKind::kGauge:
-      os << prom_series(s.name, s.labels) << ' ' << fmt_double(s.value)
+      os << prom_series(s.name, s.labels) << ' ' << fmt_double(s.value, 9)
          << '\n';
       break;
     case MetricKind::kHistogram: {
       for (const double q : {0.5, 0.9, 0.99}) {
         os << prom_series(s.name, s.labels,
-                          "quantile=\"" + fmt_double(q) + "\"")
-           << ' ' << fmt_double(s.hist.quantile_seconds(q)) << '\n';
+                          "quantile=\"" + fmt_double(q, 9) + "\"")
+           << ' ' << fmt_double(s.hist.quantile_seconds(q), 9) << '\n';
       }
       os << prom_series(s.name + "_sum", s.labels) << ' '
-         << fmt_double(s.hist.total_seconds()) << '\n';
+         << fmt_double(s.hist.total_seconds(), 9) << '\n';
       os << prom_series(s.name + "_count", s.labels) << ' ' << s.hist.count()
          << '\n';
       break;
@@ -265,16 +237,16 @@ void MetricRegistry::write_json(std::ostream& os, const char* indent) const {
       case MetricKind::kCounter:
         os << static_cast<std::uint64_t>(s.value);
         break;
-      case MetricKind::kGauge: os << fmt_double(s.value); break;
+      case MetricKind::kGauge: os << fmt_double(s.value, 9); break;
       case MetricKind::kHistogram:
         os << "{\"count\": " << s.hist.count()
-           << ", \"sum\": " << fmt_double(s.hist.total_seconds())
-           << ", \"mean\": " << fmt_double(s.hist.mean_seconds())
-           << ", \"min\": " << fmt_double(s.hist.min_seconds())
-           << ", \"max\": " << fmt_double(s.hist.max_seconds())
-           << ", \"p50\": " << fmt_double(s.hist.quantile_seconds(0.5))
-           << ", \"p90\": " << fmt_double(s.hist.quantile_seconds(0.9))
-           << ", \"p99\": " << fmt_double(s.hist.quantile_seconds(0.99))
+           << ", \"sum\": " << fmt_double(s.hist.total_seconds(), 9)
+           << ", \"mean\": " << fmt_double(s.hist.mean_seconds(), 9)
+           << ", \"min\": " << fmt_double(s.hist.min_seconds(), 9)
+           << ", \"max\": " << fmt_double(s.hist.max_seconds(), 9)
+           << ", \"p50\": " << fmt_double(s.hist.quantile_seconds(0.5), 9)
+           << ", \"p90\": " << fmt_double(s.hist.quantile_seconds(0.9), 9)
+           << ", \"p99\": " << fmt_double(s.hist.quantile_seconds(0.99), 9)
            << ", \"buckets\": \"" << s.hist.encode_buckets() << "\"}";
         break;
     }

@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <ostream>
 
+#include "asamap/obs/format.hpp"
 #include "asamap/support/hash.hpp"
 
 namespace asamap::obs {
@@ -64,21 +65,6 @@ char kind_phase(TraceKind k) noexcept {
     case TraceKind::kInstant: return 'i';
   }
   return 'i';
-}
-
-void write_escaped(std::ostream& os, const char* text) {
-  for (const char* p = text; *p != '\0'; ++p) {
-    const unsigned char c = static_cast<unsigned char>(*p);
-    if (c == '"' || c == '\\') {
-      os << '\\' << *p;
-    } else if (c < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      os << buf;
-    } else {
-      os << *p;
-    }
-  }
 }
 
 }  // namespace
@@ -292,9 +278,8 @@ void FlightRecorder::write_chrome_json(std::ostream& os) const {
   for (const TraceEvent& e : events) {
     if (!first) os << ',';
     first = false;
-    os << "{\"name\":\"";
-    write_escaped(os, e.name);
-    os << "\",\"cat\":\"" << to_string(e.cat) << "\",\"ph\":\""
+    os << "{\"name\":\"" << escape_json(e.name) << "\",\"cat\":\""
+       << to_string(e.cat) << "\",\"ph\":\""
        << kind_phase(e.kind) << "\",\"ts\":";
     std::snprintf(ts_buf, sizeof(ts_buf), "%.3f",
                   static_cast<double>(e.ts_ns) / 1000.0);

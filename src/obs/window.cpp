@@ -1,38 +1,11 @@
 #include "asamap/obs/window.hpp"
 
 #include <algorithm>
-#include <cstdio>
+
+#include "asamap/obs/format.hpp"
 
 namespace asamap::obs {
 namespace {
-
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string sample_key(const MetricSample& s) {
   if (s.labels.empty()) return s.name;
@@ -206,7 +179,7 @@ void WindowStore::write_prometheus(std::ostream& os, std::uint64_t now_ns) {
       const double d = std::max(0.0, s->value - base);
       os << windowed_series(s->name + "_rate", s->labels,
                             config_.tiers[t].label)
-         << ' ' << fmt_double(span <= 0.0 ? 0.0 : d / span) << '\n';
+         << ' ' << fmt_double(span <= 0.0 ? 0.0 : d / span, 9) << '\n';
     }
   }
   last_name.clear();
@@ -225,8 +198,8 @@ void WindowStore::write_prometheus(std::ostream& os, std::uint64_t now_ns) {
       const char* w = config_.tiers[t].label;
       for (const double q : {0.5, 0.9, 0.99}) {
         os << windowed_series(s->name + "_window", s->labels, w,
-                              "quantile=\"" + fmt_double(q) + "\"")
-           << ' ' << fmt_double(h.quantile_seconds(q)) << '\n';
+                              "quantile=\"" + fmt_double(q, 9) + "\"")
+           << ' ' << fmt_double(h.quantile_seconds(q), 9) << '\n';
       }
       os << windowed_series(s->name + "_window_count", s->labels, w) << ' '
          << h.count() << '\n';
@@ -246,10 +219,10 @@ void WindowStore::write_json(std::ostream& os, std::uint64_t now_ns,
     const double span =
         now_ns <= start ? 0.0 : static_cast<double>(now_ns - start) * 1e-9;
     os << indent << "  \"" << config_.tiers[t].label << "\": {\n"
-       << indent << "    \"window_seconds\": " << fmt_double(span) << ",\n"
+       << indent << "    \"window_seconds\": " << fmt_double(span, 9) << ",\n"
        << indent << "    \"interval_seconds\": "
        << fmt_double(static_cast<double>(config_.tiers[t].interval_ns) *
-                     1e-9)
+                     1e-9, 9)
        << ",\n"
        << indent << "    \"depth\": " << config_.tiers[t].depth << ",\n";
     os << indent << "    \"rates\": {";
@@ -260,8 +233,8 @@ void WindowStore::write_json(std::ostream& os, std::uint64_t now_ns,
       const double base = it == front.counters.end() ? 0.0 : it->second;
       const double d = std::max(0.0, s.value - base);
       os << (first ? "\n" : ",\n") << indent << "      \""
-         << json_escape(sample_key(s))
-         << "\": " << fmt_double(span <= 0.0 ? 0.0 : d / span);
+         << escape_json(sample_key(s))
+         << "\": " << fmt_double(span <= 0.0 ? 0.0 : d / span, 9);
       first = false;
     }
     os << '\n' << indent << "    },\n";
@@ -275,14 +248,14 @@ void WindowStore::write_json(std::ostream& os, std::uint64_t now_ns,
         h.subtract(it->second);
       }
       os << (first ? "\n" : ",\n") << indent << "      \""
-         << json_escape(sample_key(s)) << "\": {\"count\": " << h.count()
+         << escape_json(sample_key(s)) << "\": {\"count\": " << h.count()
          << ", \"rate\": "
          << fmt_double(span <= 0.0
                            ? 0.0
-                           : static_cast<double>(h.count()) / span)
-         << ", \"p50\": " << fmt_double(h.quantile_seconds(0.5))
-         << ", \"p90\": " << fmt_double(h.quantile_seconds(0.9))
-         << ", \"p99\": " << fmt_double(h.quantile_seconds(0.99)) << '}';
+                           : static_cast<double>(h.count()) / span, 9)
+         << ", \"p50\": " << fmt_double(h.quantile_seconds(0.5), 9)
+         << ", \"p90\": " << fmt_double(h.quantile_seconds(0.9), 9)
+         << ", \"p99\": " << fmt_double(h.quantile_seconds(0.99), 9) << '}';
       first = false;
     }
     os << '\n' << indent << "    }\n";

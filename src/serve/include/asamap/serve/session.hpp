@@ -99,6 +99,7 @@
 #include "asamap/serve/graph_registry.hpp"
 #include "asamap/serve/handler.hpp"
 #include "asamap/serve/job_scheduler.hpp"
+#include "asamap/serve/ops_surface.hpp"
 #include "asamap/serve/partition_store.hpp"
 #include "asamap/serve/status.hpp"
 
@@ -233,10 +234,6 @@ class ServeSession : public RequestHandler {
   obs::WindowStore& window() noexcept { return window_; }
   obs::HealthTracker& health() noexcept { return health_; }
 
-  /// The monotonic clock the protocol handlers feed into window()/health():
-  /// nanoseconds on the process steady clock.
-  [[nodiscard]] static std::uint64_t mono_now_ns() noexcept;
-
   // --- line protocol ------------------------------------------------------
 
   /// Executes one protocol line, returning the response (without trailing
@@ -307,12 +304,6 @@ class ServeSession : public RequestHandler {
                           const std::vector<std::string_view>& tokens,
                           SnapshotCache* cache);
 
-  [[nodiscard]] std::string render_metrics_prometheus() const;
-  [[nodiscard]] std::string render_metrics_json() const;
-  [[nodiscard]] std::string render_window(std::string_view format);
-  [[nodiscard]] std::string render_health();
-  /// Refreshes asamap_uptime_seconds just before a scrape reads it.
-  void touch_uptime() const;
   /// The degraded CLUSTER answer: the last published snapshot annotated
   /// `OK STALE version=N reason=<reason>`, or "" when the graph has never
   /// been clustered (the caller falls back to an error / best effort).
@@ -360,7 +351,8 @@ class ServeSession : public RequestHandler {
   /// only read the registry, so destruction order is free).
   obs::WindowStore window_;
   obs::HealthTracker health_;
-  obs::Gauge* uptime_ = nullptr;
+  /// METRICS / HEALTH / TRACE and the STATS identity over the three above.
+  OpsSurface ops_;
   std::unordered_map<std::string_view, VerbMetrics> verb_metrics_;
   VerbMetrics other_verb_metrics_;
   obs::Counter* errors_total_ = nullptr;

@@ -1,24 +1,23 @@
 #include "asamap/serve/session.hpp"
 
 #include <algorithm>
-#include <charconv>
-#include <cstdio>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "asamap/benchutil/json_env.hpp"
 #include "asamap/dyn/incremental.hpp"
 #include "asamap/gen/generators.hpp"
-#include "asamap/obs/build_info.hpp"
 #include "asamap/obs/tracing.hpp"
+#include "asamap/serve/protocol.hpp"
 #include "asamap/support/hash.hpp"
 #include "asamap/support/timer.hpp"
 
 namespace asamap::serve {
+
+using namespace protocol;
+
 namespace {
 
 /// Every protocol verb, for pre-registered per-verb metric handles.  The
@@ -34,80 +33,10 @@ std::string verb_label(std::string_view verb) {
   return "verb=\"" + std::string(verb) + "\"";
 }
 
-void tokenize_into(std::string_view line,
-                   std::vector<std::string_view>& tokens) {
-  tokens.clear();
-  std::size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-    std::size_t j = i;
-    while (j < line.size() && line[j] != ' ' && line[j] != '\t') ++j;
-    if (j > i) tokens.push_back(line.substr(i, j - i));
-    i = j;
-  }
-}
-
-std::vector<std::string_view> tokenize(std::string_view line) {
-  std::vector<std::string_view> tokens;
-  tokenize_into(line, tokens);
-  return tokens;
-}
-
-/// CRLF / sloppy-client tolerance: strip the line terminator residue before
-/// parsing.  tokenize() splits only on space/tab, so without this a telnet
-/// client's `MEMBER g 5\r` reaches the parser with the '\r' welded onto the
-/// last token and the request fails with a bogus parse error.
-std::string_view trim_trailing_ws(std::string_view line) {
-  while (!line.empty()) {
-    const char c = line.back();
-    if (c != '\r' && c != '\n' && c != ' ' && c != '\t') break;
-    line.remove_suffix(1);
-  }
-  return line;
-}
-
 /// The snapshot-lookup verbs eligible for the batched read fast path.
 bool is_read_verb(std::string_view verb) {
   return verb == "MEMBER" || verb == "SAME" || verb == "TOPK" ||
          verb == "SUMMARY";
-}
-
-template <typename T>
-bool parse_num(std::string_view tok, T& out) {
-  const auto [ptr, ec] =
-      std::from_chars(tok.data(), tok.data() + tok.size(), out);
-  return ec == std::errc{} && ptr == tok.data() + tok.size();
-}
-
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
-std::string err(ServeCode code, std::string_view message) {
-  std::string out = "ERR ";
-  out += to_string(code);
-  out += ' ';
-  out += message;
-  return out;
-}
-
-std::string err(const ServeStatus& status) {
-  return err(status.code, status.text());
-}
-
-/// The multi-line response envelope: `OK format=<fmt> bytes=N` then exactly
-/// N payload bytes.  The transport's message terminator (the text
-/// protocol's newline / the binary frame length) follows the payload and is
-/// NOT part of N — so a client reads the header line, then N bytes, done.
-std::string enveloped(const char* format, std::string payload) {
-  std::string out = "OK format=";
-  out += format;
-  out += " bytes=" + std::to_string(payload.size());
-  out += '\n';
-  out += payload;
-  return out;
 }
 
 /// The session's config copy with every subsystem pointed at the session
@@ -131,10 +60,11 @@ ServeSession::ServeSession(const SessionConfig& config)
       registry_(config_.registry),
       store_(),
       breaker_(config_.breaker),
-      window_(metrics_, config_.window, mono_now_ns()),
+      window_(metrics_, config_.window, obs::mono_now_ns()),
       health_(metrics_, window_, config_.slo, "asamap_serve_requests_total",
               "asamap_serve_errors_total", "asamap_serve_request_seconds",
               "asamap_breaker_state"),
+      ops_(metrics_, window_, health_, "serve"),
       scheduler_(config_.scheduler) {
   for (const std::string_view verb : kVerbs) {
     const std::string label = verb_label(verb);
@@ -150,10 +80,6 @@ ServeSession::ServeSession(const SessionConfig& config)
       &metrics_.counter("asamap_serve_requests_total", other),
       &metrics_.histogram("asamap_serve_request_seconds", other)};
   errors_total_ = &metrics_.counter("asamap_serve_errors_total");
-  // Build identity: the uptime gauge is refreshed at every scrape/STATS so
-  // a dashboard's value is never older than the read that fetched it.
-  uptime_ = &metrics_.gauge("asamap_uptime_seconds");
-  uptime_->set(obs::process_uptime_seconds());
   // Robustness metrics, pre-registered so the scrape schema is stable
   // whether or not any fault/degradation ever happens.
   faults_.attach_metrics(&metrics_);
@@ -609,7 +535,8 @@ std::string ServeSession::degraded_cluster(const std::string& name,
 
 std::string ServeSession::handle_line(std::string_view line) {
   support::WallTimer wall;
-  const auto tokens = tokenize(trim_trailing_ws(line));
+  std::vector<std::string_view> tokens;
+  tokenize_into(trim_trailing_ws(line), tokens);
   const std::string_view verb = tokens.empty() ? std::string_view{} : tokens[0];
   const auto it = verb_metrics_.find(verb);
   const VerbMetrics& vm =
@@ -989,13 +916,7 @@ std::string ServeSession::handle_line_impl(
            " retries=" + std::to_string(reg.ingest_retries +
                                         sch.dispatch_retries) +
            " shed=" + std::to_string(sch.shed) + " breaker=" +
-           fault::to_string(breaker_.state()) +
-           // Build identity (ISSUE 10): which binary, for how long, built
-           // how — so fleet STATS sweeps can spot a stale deploy at a glance.
-           " uptime=" + fmt_double(obs::process_uptime_seconds()) +
-           " rev=" + obs::build_git_rev() + " build=" + obs::build_mode() +
-           " faults=" + (fault::kFaultInjectionEnabled ? "1" : "0") +
-           " accumulator=hotset";
+           fault::to_string(breaker_.state()) + ops_.stats_identity();
   }
 
   if (verb == "FAULTS") {
@@ -1052,83 +973,7 @@ std::string ServeSession::handle_line_impl(
     return err(ServeCode::kInvalidArgument, kUsage);
   }
 
-  if (verb == "TRACE") {
-    constexpr const char* kUsage =
-        "usage: TRACE DUMP | TRACE STATUS | TRACE MARK <label>";
-    if (tokens.size() < 2) return err(ServeCode::kInvalidArgument, kUsage);
-    const std::string_view sub = tokens[1];
-    obs::FlightRecorder& rec = obs::FlightRecorder::instance();
-    if (sub == "DUMP") {
-      if (tokens.size() != 2) {
-        return err(ServeCode::kInvalidArgument, "usage: TRACE DUMP");
-      }
-      std::ostringstream out;
-      rec.write_chrome_json(out);  // one line, so transcripts stay parseable
-      return enveloped("chrome-trace", out.str());
-    }
-    if (sub == "STATUS") {
-      if (tokens.size() != 2) {
-        return err(ServeCode::kInvalidArgument, "usage: TRACE STATUS");
-      }
-      const obs::TraceStats stats = rec.stats();
-      std::string out = "OK enabled=";
-      out += stats.enabled ? '1' : '0';
-      out += " rings=" + std::to_string(stats.rings) +
-             " capacity=" + std::to_string(stats.ring_capacity) +
-             " recorded=" + std::to_string(stats.recorded) +
-             " dropped=" + std::to_string(stats.dropped) +
-             " dropped_fraction=" + fmt_double(stats.dropped_fraction);
-      // The rings hold only the newest events; once most of the run has
-      // been overwritten a DUMP is a sliver, not a trace — say so here
-      // instead of letting the near-empty dump speak for itself.
-      if (stats.dropped_fraction > 0.5) {
-        out += " warning=ring_wrapped";
-      }
-      return out;
-    }
-    if (sub == "MARK") {
-      if (tokens.size() < 3) {
-        return err(ServeCode::kInvalidArgument, "usage: TRACE MARK <label>");
-      }
-      std::string label(tokens[2]);
-      for (std::size_t i = 3; i < tokens.size(); ++i) {
-        label += ' ';
-        label += tokens[i];
-      }
-      rec.instant(rec.intern(label), obs::TraceCat::kUser);
-      return "OK marked=" + label;
-    }
-    return err(ServeCode::kInvalidArgument, kUsage);
-  }
-
-  if (verb == "METRICS") {
-    if (tokens.size() >= 2 && tokens[1] == "WINDOW") {
-      if (tokens.size() > 3) {
-        return err(ServeCode::kInvalidArgument,
-                   "usage: METRICS WINDOW [prom|json]");
-      }
-      return render_window(tokens.size() == 3 ? tokens[2] : "prom");
-    }
-    if (tokens.size() > 2) {
-      return err(ServeCode::kInvalidArgument,
-                 "usage: METRICS [WINDOW] [prom|json]");
-    }
-    const std::string_view format = tokens.size() == 2 ? tokens[1] : "prom";
-    if (format == "prom" || format == "prometheus") {
-      return render_metrics_prometheus();
-    }
-    if (format == "json") return render_metrics_json();
-    return err(ServeCode::kInvalidArgument,
-               "METRICS: unknown format '" + std::string(format) +
-                   "' (want prom or json)");
-  }
-
-  if (verb == "HEALTH") {
-    if (tokens.size() != 1) {
-      return err(ServeCode::kInvalidArgument, "usage: HEALTH");
-    }
-    return render_health();
-  }
+  if (OpsSurface::handles(verb)) return ops_.handle(tokens);
 
   if (verb == "QUIT") return "OK bye";
 
@@ -1247,74 +1092,6 @@ std::string ServeSession::handle_read(
          " modularity=" + fmt_double(snap->modularity) +
          " interrupted=" + (snap->interrupted ? "1" : "0") +
          " job=" + std::to_string(snap->build_job);
-}
-
-std::uint64_t ServeSession::mono_now_ns() noexcept {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-void ServeSession::touch_uptime() const {
-  uptime_->set(obs::process_uptime_seconds());
-}
-
-std::string ServeSession::render_metrics_prometheus() const {
-  touch_uptime();
-  std::ostringstream out;
-  metrics_.write_prometheus(out);
-  std::string s = out.str();
-  if (!s.empty() && s.back() == '\n') s.pop_back();  // driver adds the newline
-  return enveloped("prometheus", std::move(s));
-}
-
-std::string ServeSession::render_metrics_json() const {
-  touch_uptime();
-  std::ostringstream out;
-  out << "{\n";
-  benchutil::write_envelope_fields(
-      out, benchutil::make_envelope("serve_metrics"), "  ");
-  out << "  \"metrics\": ";
-  metrics_.write_json(out, "  ");
-  out << "\n}";
-  return enveloped("json", out.str());
-}
-
-std::string ServeSession::render_window(std::string_view format) {
-  const std::uint64_t now = mono_now_ns();
-  std::ostringstream out;
-  if (format == "prom" || format == "prometheus") {
-    window_.write_prometheus(out, now);
-    std::string s = out.str();
-    if (!s.empty() && s.back() == '\n') s.pop_back();
-    return enveloped("prometheus", std::move(s));
-  }
-  if (format == "json") {
-    out << "{\n";
-    benchutil::write_envelope_fields(
-        out, benchutil::make_envelope("serve_metrics_window"), "  ");
-    out << "  \"window\": ";
-    window_.write_json(out, now, "  ");
-    out << "\n}";
-    return enveloped("json", out.str());
-  }
-  return err(ServeCode::kInvalidArgument,
-             "METRICS WINDOW: unknown format '" + std::string(format) +
-                 "' (want prom or json)");
-}
-
-std::string ServeSession::render_health() {
-  const obs::HealthReport report = health_.evaluate(mono_now_ns());
-  std::string payload = report.render();
-  if (!payload.empty() && payload.back() == '\n') payload.pop_back();
-  std::string out = "OK status=";
-  out += to_string(report.status);
-  out += " slos=" + std::to_string(report.slos.size());
-  out += " bytes=" + std::to_string(payload.size());
-  out += '\n';
-  out += payload;
-  return out;
 }
 
 }  // namespace asamap::serve

@@ -573,6 +573,40 @@ TEST(RouterBackpressure, RingFullRejectionPropagatesVerbatim) {
   responder.join();
 }
 
+// Forty attempts against a port nothing listens on: every retry sleeps on
+// the decorrelated schedule, capped at max_backoff (the exponential
+// `1 << (attempt - 1)` it replaced was undefined from attempt 33 on), and
+// the read fails cleanly.  The ASan+UBSan job runs this too.
+TEST(RouterRetry, FortyAttemptsAgainstAClosedPortAnswerUnavailable) {
+  const int probe = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(probe, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(probe, reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::getsockname(probe, reinterpret_cast<sockaddr*>(&addr), &len),
+            0);
+  ::close(probe);  // bound, never listened: connects are refused
+
+  dist::RouterConfig rc;
+  net::ClientConfig ep;
+  ep.port = ntohs(addr.sin_port);
+  ep.timeout_ms = 1000;
+  rc.shards = {ep};
+  rc.retry.max_attempts = 40;
+  rc.retry.initial_backoff = std::chrono::milliseconds(1);
+  rc.retry.max_backoff = std::chrono::milliseconds(1);
+  dist::Router router(rc);
+
+  const std::string resp = router.handle_line("SUMMARY g");
+  EXPECT_EQ(resp.rfind("ERR unavailable", 0), 0u) << resp;
+  EXPECT_EQ(router.metrics().counter_total("asamap_router_retries_total"),
+            39u);
+}
+
 // A backend that answers gathered reads *globally* (no range=/partial=
 // fields — the shape a backend not running with --shard-id produces) must
 // be refused loudly: merging its reply would yield a silently wrong
@@ -689,14 +723,33 @@ TEST(OpsPin, RouterHealthPayloadListsEverySlo) {
                                       "slo=shards status=ok"}));
 }
 
-TEST(OpsPin, RouterTraceStatusAndMark) {
+// TRACE STATUS carries the same fields as the session's, dropped_fraction=
+// included (tools/trace_report.py parses it).
+TEST(OpsPin, RouterTraceStatusReportsDroppedFraction) {
   dist::Router router{dist::RouterConfig{}};
-  EXPECT_EQ(ops_pin::masked(router.handle_line("TRACE STATUS"),
-                            {"enabled", "rings", "capacity", "recorded",
-                             "dropped"}),
-            "OK enabled=# rings=# capacity=# recorded=# dropped=#");
-  EXPECT_EQ(router.handle_line("TRACE MARK deploy  v2"),
-            "ERR invalid_argument usage: TRACE DUMP | TRACE STATUS");
+  const std::string status = ops_pin::masked(
+      router.handle_line("TRACE STATUS"),
+      {"enabled", "rings", "capacity", "recorded", "dropped",
+       "dropped_fraction"});
+  const std::string want =
+      "OK enabled=# rings=# capacity=# recorded=# dropped=# "
+      "dropped_fraction=#";
+  EXPECT_TRUE(status == want || status == want + " warning=ring_wrapped")
+      << status;
+}
+
+TEST(OpsPin, RouterTraceMarkDropsAnInstant) {
+  dist::Router router{dist::RouterConfig{}};
+  EXPECT_EQ(router.handle_line("TRACE MARK router  deploy"),
+            "OK marked=router deploy");
+  EXPECT_NE(router.handle_line("TRACE DUMP").find("\"name\":\"router deploy\""),
+            std::string::npos);
+}
+
+TEST(OpsPin, RouterMetricsAcceptsThePrometheusAlias) {
+  dist::Router router{dist::RouterConfig{}};
+  EXPECT_EQ(ops_pin::pinned_header(router.handle_line("METRICS prometheus")),
+            "OK format=prometheus bytes=<payload>");
 }
 
 TEST(OpsPin, RouterStatsIdentitySuffix) {
@@ -711,33 +764,23 @@ TEST(OpsPin, RouterStatsIdentitySuffix) {
                 " accumulator=hotset");
 }
 
+// Malformed ops verbs get the session's answers word for word; only the
+// router's own FLEET forms have router text.
 TEST(OpsPin, RouterMalformedForms) {
   dist::Router router{dist::RouterConfig{}};
+  serve::ServeSession session(tier_config());
+  for (const std::string line :
+       {"METRICS json extra", "METRICS yaml", "METRICS WINDOW json extra",
+        "METRICS WINDOW yaml", "HEALTH now", "TRACE", "TRACE BOGUS",
+        "TRACE DUMP extra", "TRACE STATUS extra", "TRACE MARK"}) {
+    EXPECT_EQ(router.handle_line(line), session.handle_line(line)) << line;
+  }
   const std::vector<std::pair<std::string, std::string>> pins = {
-      {"METRICS json extra",
-       "ERR invalid_argument usage: METRICS [WINDOW|FLEET] [prom|json]"},
-      {"METRICS yaml", "ERR invalid_argument unknown metrics format"},
-      {"METRICS prometheus", "ERR invalid_argument unknown metrics format"},
-      {"METRICS WINDOW json extra",
-       "ERR invalid_argument usage: METRICS WINDOW [prom|json]"},
-      {"METRICS WINDOW yaml",
-       "ERR invalid_argument METRICS WINDOW: unknown format 'yaml' (want "
-       "prom or json)"},
       {"METRICS FLEET json extra",
        "ERR invalid_argument usage: METRICS FLEET [prom|json]"},
       {"METRICS FLEET yaml",
        "ERR invalid_argument METRICS FLEET: unknown format 'yaml' (want "
        "prom or json)"},
-      {"HEALTH now", "ERR invalid_argument usage: HEALTH [FLEET]"},
-      {"TRACE", "ERR invalid_argument usage: TRACE DUMP | TRACE STATUS"},
-      {"TRACE BOGUS",
-       "ERR invalid_argument usage: TRACE DUMP | TRACE STATUS"},
-      {"TRACE DUMP extra",
-       "ERR invalid_argument usage: TRACE DUMP | TRACE STATUS"},
-      {"TRACE STATUS extra",
-       "ERR invalid_argument usage: TRACE DUMP | TRACE STATUS"},
-      {"TRACE MARK",
-       "ERR invalid_argument usage: TRACE DUMP | TRACE STATUS"},
   };
   for (const auto& [line, want] : pins) {
     EXPECT_EQ(router.handle_line(line), want) << line;

@@ -9,6 +9,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <filesystem>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -484,6 +486,25 @@ TEST(ServeSession, MetricsVerbRendersBothFormatsFromOneRegistry) {
                                             "verb=\"GEN\""),
             1u);
   EXPECT_EQ(session.handle_line("METRICS yaml").substr(0, 3), "ERR");
+}
+
+// JSON scrapes name the revision the binary was built from — the value
+// STATS rev= reports — wherever the server runs, and never shell out to
+// find it.
+TEST(ServeSession, JsonScrapeGitRevIsTheBuildRevision) {
+  std::string dir =
+      (std::filesystem::temp_directory_path() / "asamap_rev_XXXXXX").string();
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  const std::filesystem::path cwd = std::filesystem::current_path();
+  std::filesystem::current_path(dir);
+  ServeSession session(test_config());
+  std::string metrics, window;
+  ops_pin::pinned_header(session.handle_line("METRICS json"), &metrics);
+  ops_pin::pinned_header(session.handle_line("METRICS WINDOW json"), &window);
+  std::filesystem::current_path(cwd);
+  std::filesystem::remove(dir);
+  EXPECT_EQ(ops_pin::string_member(metrics, "git_rev"), obs::build_git_rev());
+  EXPECT_EQ(ops_pin::string_member(window, "git_rev"), obs::build_git_rev());
 }
 
 TEST(ServeSession, MetricsCountRequestsLatenciesAndErrors) {
