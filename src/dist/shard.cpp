@@ -12,6 +12,9 @@ namespace asamap::dist {
 
 using graph::VertexId;
 using namespace serve::protocol;
+// Values the router merges go out at full precision: summed partials then
+// equal what a local sum of the same terms produces.
+using obs::kExactDigits;
 
 namespace {
 
@@ -26,11 +29,6 @@ std::string_view line_tail(std::string_view line,
       static_cast<std::size_t>(tokens[from].data() - line.data());
   return line.substr(off);
 }
-
-/// Significant digits that round-trip a double exactly, for the values the
-/// router merges: summed partials then equal what a local sum of the same
-/// terms produces.
-constexpr int kExactDigits = 17;
 
 /// Communities above which a range-partial TOPK response is refused (the
 /// router falls back to SHARD FORWARD).  Bounds the response well under

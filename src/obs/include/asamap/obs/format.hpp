@@ -12,12 +12,21 @@
 
 namespace asamap::obs {
 
+/// Significant digits that round-trip any double exactly.
+inline constexpr int kExactDigits = 17;
+
 /// `%.<digits>g`: 6 significant digits on protocol lines and HEALTH
-/// details, 9 in the metric scrapes, 17 where a double must round-trip.
+/// details, kExactDigits where a double must survive a text round trip.
 [[nodiscard]] inline std::string fmt_double(double v, int digits = 6) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*g", digits, v);
   return buf;
+}
+
+/// The metric scrapes' rendering (Prometheus text, registry and window
+/// JSON): 9 significant digits.
+[[nodiscard]] inline std::string fmt_scrape(double v) {
+  return fmt_double(v, 9);
 }
 
 /// Escapes `s` for a JSON double-quoted literal.

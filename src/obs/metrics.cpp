@@ -204,17 +204,17 @@ void MetricRegistry::write_prometheus_sample(std::ostream& os,
          << static_cast<std::uint64_t>(s.value) << '\n';
       break;
     case MetricKind::kGauge:
-      os << prom_series(s.name, s.labels) << ' ' << fmt_double(s.value, 9)
+      os << prom_series(s.name, s.labels) << ' ' << fmt_scrape(s.value)
          << '\n';
       break;
     case MetricKind::kHistogram: {
       for (const double q : {0.5, 0.9, 0.99}) {
         os << prom_series(s.name, s.labels,
-                          "quantile=\"" + fmt_double(q, 9) + "\"")
-           << ' ' << fmt_double(s.hist.quantile_seconds(q), 9) << '\n';
+                          "quantile=\"" + fmt_scrape(q) + "\"")
+           << ' ' << fmt_scrape(s.hist.quantile_seconds(q)) << '\n';
       }
       os << prom_series(s.name + "_sum", s.labels) << ' '
-         << fmt_double(s.hist.total_seconds(), 9) << '\n';
+         << fmt_scrape(s.hist.total_seconds()) << '\n';
       os << prom_series(s.name + "_count", s.labels) << ' ' << s.hist.count()
          << '\n';
       break;
@@ -237,16 +237,16 @@ void MetricRegistry::write_json(std::ostream& os, const char* indent) const {
       case MetricKind::kCounter:
         os << static_cast<std::uint64_t>(s.value);
         break;
-      case MetricKind::kGauge: os << fmt_double(s.value, 9); break;
+      case MetricKind::kGauge: os << fmt_scrape(s.value); break;
       case MetricKind::kHistogram:
         os << "{\"count\": " << s.hist.count()
-           << ", \"sum\": " << fmt_double(s.hist.total_seconds(), 9)
-           << ", \"mean\": " << fmt_double(s.hist.mean_seconds(), 9)
-           << ", \"min\": " << fmt_double(s.hist.min_seconds(), 9)
-           << ", \"max\": " << fmt_double(s.hist.max_seconds(), 9)
-           << ", \"p50\": " << fmt_double(s.hist.quantile_seconds(0.5), 9)
-           << ", \"p90\": " << fmt_double(s.hist.quantile_seconds(0.9), 9)
-           << ", \"p99\": " << fmt_double(s.hist.quantile_seconds(0.99), 9)
+           << ", \"sum\": " << fmt_scrape(s.hist.total_seconds())
+           << ", \"mean\": " << fmt_scrape(s.hist.mean_seconds())
+           << ", \"min\": " << fmt_scrape(s.hist.min_seconds())
+           << ", \"max\": " << fmt_scrape(s.hist.max_seconds())
+           << ", \"p50\": " << fmt_scrape(s.hist.quantile_seconds(0.5))
+           << ", \"p90\": " << fmt_scrape(s.hist.quantile_seconds(0.9))
+           << ", \"p99\": " << fmt_scrape(s.hist.quantile_seconds(0.99))
            << ", \"buckets\": \"" << s.hist.encode_buckets() << "\"}";
         break;
     }

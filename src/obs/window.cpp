@@ -179,7 +179,7 @@ void WindowStore::write_prometheus(std::ostream& os, std::uint64_t now_ns) {
       const double d = std::max(0.0, s->value - base);
       os << windowed_series(s->name + "_rate", s->labels,
                             config_.tiers[t].label)
-         << ' ' << fmt_double(span <= 0.0 ? 0.0 : d / span, 9) << '\n';
+         << ' ' << fmt_scrape(span <= 0.0 ? 0.0 : d / span) << '\n';
     }
   }
   last_name.clear();
@@ -198,8 +198,8 @@ void WindowStore::write_prometheus(std::ostream& os, std::uint64_t now_ns) {
       const char* w = config_.tiers[t].label;
       for (const double q : {0.5, 0.9, 0.99}) {
         os << windowed_series(s->name + "_window", s->labels, w,
-                              "quantile=\"" + fmt_double(q, 9) + "\"")
-           << ' ' << fmt_double(h.quantile_seconds(q), 9) << '\n';
+                              "quantile=\"" + fmt_scrape(q) + "\"")
+           << ' ' << fmt_scrape(h.quantile_seconds(q)) << '\n';
       }
       os << windowed_series(s->name + "_window_count", s->labels, w) << ' '
          << h.count() << '\n';
@@ -219,10 +219,10 @@ void WindowStore::write_json(std::ostream& os, std::uint64_t now_ns,
     const double span =
         now_ns <= start ? 0.0 : static_cast<double>(now_ns - start) * 1e-9;
     os << indent << "  \"" << config_.tiers[t].label << "\": {\n"
-       << indent << "    \"window_seconds\": " << fmt_double(span, 9) << ",\n"
+       << indent << "    \"window_seconds\": " << fmt_scrape(span) << ",\n"
        << indent << "    \"interval_seconds\": "
-       << fmt_double(static_cast<double>(config_.tiers[t].interval_ns) *
-                     1e-9, 9)
+       << fmt_scrape(static_cast<double>(config_.tiers[t].interval_ns) *
+                     1e-9)
        << ",\n"
        << indent << "    \"depth\": " << config_.tiers[t].depth << ",\n";
     os << indent << "    \"rates\": {";
@@ -234,7 +234,7 @@ void WindowStore::write_json(std::ostream& os, std::uint64_t now_ns,
       const double d = std::max(0.0, s.value - base);
       os << (first ? "\n" : ",\n") << indent << "      \""
          << escape_json(sample_key(s))
-         << "\": " << fmt_double(span <= 0.0 ? 0.0 : d / span, 9);
+         << "\": " << fmt_scrape(span <= 0.0 ? 0.0 : d / span);
       first = false;
     }
     os << '\n' << indent << "    },\n";
@@ -250,12 +250,12 @@ void WindowStore::write_json(std::ostream& os, std::uint64_t now_ns,
       os << (first ? "\n" : ",\n") << indent << "      \""
          << escape_json(sample_key(s)) << "\": {\"count\": " << h.count()
          << ", \"rate\": "
-         << fmt_double(span <= 0.0
+         << fmt_scrape(span <= 0.0
                            ? 0.0
-                           : static_cast<double>(h.count()) / span, 9)
-         << ", \"p50\": " << fmt_double(h.quantile_seconds(0.5), 9)
-         << ", \"p90\": " << fmt_double(h.quantile_seconds(0.9), 9)
-         << ", \"p99\": " << fmt_double(h.quantile_seconds(0.99), 9) << '}';
+                           : static_cast<double>(h.count()) / span)
+         << ", \"p50\": " << fmt_scrape(h.quantile_seconds(0.5))
+         << ", \"p90\": " << fmt_scrape(h.quantile_seconds(0.9))
+         << ", \"p99\": " << fmt_scrape(h.quantile_seconds(0.99)) << '}';
       first = false;
     }
     os << '\n' << indent << "    }\n";
