@@ -14,8 +14,9 @@
 //      serial hot-set FBC)?  Each row also records how the serial verify
 //      settled the proposals (replays vs revalidations).
 //
-// Every timed configuration runs `--reps` interleaved repetitions and keeps
-// its minimum.
+// Every timed configuration runs `--reps` interleaved repetitions
+// (benchutil::interleave) and keeps its minimum, printed and recorded with
+// its noise floor: the relative max-min spread of its repetitions.
 //
 // The bench *asserts* (exit 1) that all three engines report bit-identical
 // codelengths — the accumulators are constructed to be output-equivalent,
@@ -33,6 +34,7 @@
 
 #include <cmath>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -40,7 +42,7 @@
 
 #include <omp.h>
 
-#include "asamap/obs/envelope.hpp"
+#include "asamap/benchutil/harness.hpp"
 #include "asamap/benchutil/table.hpp"
 #include "asamap/core/infomap.hpp"
 #include "asamap/gen/generators.hpp"
@@ -111,16 +113,15 @@ double fbc_seconds(const obs::MetricRegistry& reg) {
       obs::kernel_label(core::kernels::kFindBestCommunity));
 }
 
-/// One timed single-threaded run: fresh registry, returns the result and
-/// writes the FindBestCommunity phase seconds into `fbc`.
-core::InfomapResult timed_run(const graph::CsrGraph& g,
-                              core::AccumulatorKind kind, double& fbc) {
+/// One timed single-threaded run: fresh registry, writes the result into
+/// `out` and returns the FindBestCommunity phase seconds.
+double timed_run(const graph::CsrGraph& g, core::AccumulatorKind kind,
+                 core::InfomapResult& out) {
   obs::MetricRegistry reg;
   core::InfomapOptions opts;
   opts.metrics = &reg;
-  auto r = core::run_infomap(g, opts, kind);
-  fbc = fbc_seconds(reg);
-  return r;
+  out = core::run_infomap(g, opts, kind);
+  return fbc_seconds(reg);
 }
 
 // Replays the FindBestCommunity accumulation workload — for every vertex,
@@ -173,11 +174,12 @@ int main(int argc, char** argv) {
   // for the headline numbers, so they run `reps` interleaved repetitions
   // and keep the per-configuration minimum — adjacent runs share whatever
   // noise the host is producing, and the minimum is the least-disturbed
-  // sample of a deterministic quantity.
+  // sample of a deterministic quantity; the spread of the samples is
+  // reported beside it as the noise floor.
   struct ThreadPoint {
     int threads;
     double total_seconds = 1e300;
-    double fbc = 1e300;
+    double fbc = 0.0, noise_floor = 0.0;
     double codelength = 0.0;
     std::size_t communities = 0;
     std::uint64_t moves = 0;
@@ -188,14 +190,13 @@ int main(int argc, char** argv) {
   };
   std::vector<ThreadPoint> points;
   for (const int nt : cfg.threads) points.push_back(ThreadPoint{nt});
-  const auto parallel_run = [&g](ThreadPoint& p) {
+  const auto parallel_run = [&g](ThreadPoint& p) {  // returns FBC seconds
     obs::MetricRegistry reg;  // fresh per run: totals are this run's alone
     core::InfomapOptions opts;
     opts.metrics = &reg;
     support::WallTimer wall;
     const auto r = core::run_infomap_parallel(g, opts, p.threads);
     p.total_seconds = std::min(p.total_seconds, wall.seconds());
-    p.fbc = std::min(p.fbc, fbc_seconds(reg));
     // Every rep makes the same decisions; the counts are per run.
     p.codelength = r.codelength;
     p.communities = r.num_communities;
@@ -204,30 +205,34 @@ int main(int argc, char** argv) {
     p.proposals = reg.counter_total("asamap_parallel_proposals_total");
     p.replays = reg.counter_total("asamap_parallel_replays_total");
     p.revalidations = reg.counter_total("asamap_parallel_revalidations_total");
+    return fbc_seconds(reg);
   };
 
-  double chained_fbc = 0.0;
-  const auto chained =
-      timed_run(g, core::AccumulatorKind::kChained, chained_fbc);
-  double flat_fbc = 1e300, hotset_fbc = 1e300;
-  core::InfomapResult flat, hotset;
-  for (int rep = 0; rep < cfg.reps; ++rep) {
-    double f = 0.0, h = 0.0;
-    flat = timed_run(g, core::AccumulatorKind::kFlat, f);
-    hotset = timed_run(g, core::AccumulatorKind::kHotSet, h);
-    flat_fbc = std::min(flat_fbc, f);
-    hotset_fbc = std::min(hotset_fbc, h);
-    for (ThreadPoint& p : points) parallel_run(p);
+  core::InfomapResult chained, flat, hotset;
+  const double chained_fbc =
+      timed_run(g, core::AccumulatorKind::kChained, chained);
+  std::vector<std::function<double()>> sides = {
+      [&] { return timed_run(g, core::AccumulatorKind::kFlat, flat); },
+      [&] { return timed_run(g, core::AccumulatorKind::kHotSet, hotset); }};
+  for (ThreadPoint& p : points) {
+    sides.push_back([&parallel_run, q = &p] { return parallel_run(*q); });
+  }
+  const auto reps = benchutil::interleave(cfg.reps, sides);
+  const double flat_fbc = reps.best[0], hotset_fbc = reps.best[1];
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    points[i].fbc = reps.best[i + 2];
+    points[i].noise_floor = reps.spread[i + 2];
   }
 
-  benchutil::Table t1({"Engine", "FindBestCommunity (s)", "Speedup",
-                       "Codelength (bits)"});
-  t1.add_row({"chained (instrumented model)", fmt(chained_fbc, 3), "1.00x",
-              fmt(chained.codelength, 6)});
+  benchutil::Table t1({"Engine", "FindBestCommunity (s)", "Noise floor",
+                       "Speedup", "Codelength (bits)"});
+  t1.add_row({"chained (instrumented model)", fmt(chained_fbc, 3), "-",
+              "1.00x", fmt(chained.codelength, 6)});
   t1.add_row({"flat (native fast path)", fmt(flat_fbc, 3),
-              fmt(chained_fbc / flat_fbc, 2) + "x",
-              fmt(flat.codelength, 6)});
+              benchutil::fmt_pct(reps.spread[0]),
+              fmt(chained_fbc / flat_fbc, 2) + "x", fmt(flat.codelength, 6)});
   t1.add_row({"hotset (software CAM front)", fmt(hotset_fbc, 3),
+              benchutil::fmt_pct(reps.spread[1]),
               fmt(chained_fbc / hotset_fbc, 2) + "x",
               fmt(hotset.codelength, 6)});
   t1.print(std::cout);
@@ -285,12 +290,13 @@ int main(int argc, char** argv) {
 
   // --- Part 2: parallel driver thread scaling (timed in part 1's loop).
   benchutil::Table t2({"Threads", "Total (s)", "FindBestCommunity (s)",
-                       "Self-speedup", "Codelength (bits)", "Communities",
-                       "Replays", "Revalidations"});
+                       "Noise floor", "Self-speedup", "Codelength (bits)",
+                       "Communities", "Replays", "Revalidations"});
   const double base_total = points.empty() ? 0.0 : points.front().total_seconds;
   for (const ThreadPoint& p : points) {
     t2.add_row({std::to_string(p.threads), fmt(p.total_seconds, 3),
-                fmt(p.fbc, 3), fmt(base_total / p.total_seconds, 2) + "x",
+                fmt(p.fbc, 3), benchutil::fmt_pct(p.noise_floor),
+                fmt(base_total / p.total_seconds, 2) + "x",
                 fmt(p.codelength, 6), std::to_string(p.communities),
                 std::to_string(p.replays), std::to_string(p.revalidations)});
   }
@@ -330,50 +336,39 @@ int main(int argc, char** argv) {
   }
 
   // --- JSON trajectory artifact.
-  std::ofstream js(cfg.out);
-  js.precision(9);
-  js << "{\n";
-  obs::write_envelope_fields(js, env);
-  js << "  \"graph\": {\"generator\": \"chung_lu\", \"n\": " << g.num_vertices()
-     << ", \"arcs\": " << g.num_arcs() << ", \"gamma\": 2.5, \"seed\": "
-     << cfg.seed << "},\n"
-     << "  \"fbc_phase\": {\n"
-     << "    \"reps\": " << cfg.reps << ",\n"
-     << "    \"chained\": {\"fbc_seconds\": " << chained_fbc
-     << ", \"codelength\": " << chained.codelength << "},\n"
-     << "    \"flat\": {\"fbc_seconds\": " << flat_fbc
-     << ", \"codelength\": " << flat.codelength << "},\n"
-     << "    \"hotset\": {\"fbc_seconds\": " << hotset_fbc
-     << ", \"codelength\": " << hotset.codelength
-     << ", \"hit_rate\": " << hotset.hotset.hit_rate()
-     << ", \"vertex_coverage\": " << hotset.hotset.vertex_coverage()
-     << ", \"accumulates\": " << hotset.hotset.accumulates
-     << ", \"spills\": " << hotset.hotset.spills << "},\n"
-     << "    \"flat_vs_chained_speedup\": " << chained_fbc / flat_fbc << ",\n"
-     << "    \"hotset_vs_flat_speedup\": " << flat_fbc / hotset_fbc << ",\n"
-     << "    \"parallel_1t_vs_hotset\": " << one_thread_vs_serial << "\n"
-     << "  },\n"
-     << "  \"replay\": {\n"
-     << "    \"chained_seconds\": " << chained_replay << ",\n"
-     << "    \"flat_seconds\": " << flat_replay << ",\n"
-     << "    \"hotset_seconds\": " << hotset_replay << ",\n"
-     << "    \"flat_speedup\": " << acc_speedup << ",\n"
-     << "    \"hotset_speedup\": " << hot_acc_speedup << "\n"
-     << "  },\n"
-     << "  \"parallel\": [\n";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const auto& p = points[i];
-    js << "    {\"threads\": " << p.threads << ", \"total_seconds\": "
-       << p.total_seconds << ", \"fbc_seconds\": " << p.fbc
-       << ", \"self_speedup\": " << base_total / p.total_seconds
-       << ", \"codelength\": " << p.codelength << ", \"communities\": "
-       << p.communities << ", \"moves\": " << p.moves << ", \"sweeps\": "
-       << p.sweeps << ", \"proposals\": " << p.proposals
-       << ", \"replays\": " << p.replays << ", \"revalidations\": "
-       << p.revalidations << '}' << (i + 1 < points.size() ? "," : "")
-       << '\n';
+  benchutil::Section root;
+  root.child("graph").text("generator", "chung_lu").put("n", g.num_vertices())
+      .put("arcs", g.num_arcs()).put("gamma", 2.5).put("seed", cfg.seed);
+  benchutil::Section& phase = root.child("fbc_phase");
+  phase.put("reps", cfg.reps);
+  phase.child("chained").put("fbc_seconds", chained_fbc)
+      .put("codelength", chained.codelength);
+  phase.child("flat").put("fbc_seconds", flat_fbc)
+      .put("noise_floor", reps.spread[0]).put("codelength", flat.codelength);
+  phase.child("hotset").put("fbc_seconds", hotset_fbc)
+      .put("noise_floor", reps.spread[1]).put("codelength", hotset.codelength)
+      .put("hit_rate", hotset.hotset.hit_rate())
+      .put("vertex_coverage", hotset.hotset.vertex_coverage())
+      .put("accumulates", hotset.hotset.accumulates)
+      .put("spills", hotset.hotset.spills);
+  phase.put("flat_vs_chained_speedup", chained_fbc / flat_fbc)
+      .put("hotset_vs_flat_speedup", flat_fbc / hotset_fbc)
+      .put("parallel_1t_vs_hotset", one_thread_vs_serial);
+  root.child("replay").put("chained_seconds", chained_replay)
+      .put("flat_seconds", flat_replay).put("hotset_seconds", hotset_replay)
+      .put("flat_speedup", acc_speedup).put("hotset_speedup", hot_acc_speedup);
+  for (const ThreadPoint& p : points) {
+    root.child("parallel", true).put("threads", p.threads)
+        .put("total_seconds", p.total_seconds).put("fbc_seconds", p.fbc)
+        .put("noise_floor", p.noise_floor)
+        .put("self_speedup", base_total / p.total_seconds)
+        .put("codelength", p.codelength).put("communities", p.communities)
+        .put("moves", p.moves).put("sweeps", p.sweeps)
+        .put("proposals", p.proposals).put("replays", p.replays)
+        .put("revalidations", p.revalidations);
   }
-  js << "  ]\n}\n";
+  std::ofstream js(cfg.out);
+  root.write_document(js, env);
   std::cout << "\nWrote " << cfg.out << '\n';
   return 0;
 }
