@@ -52,8 +52,12 @@ int main() {
         in_bin += h.counts[k];
       }
       if (in_bin == 0) continue;
-      t.add_row({"[" + std::to_string(lo) + ", " + std::to_string(hi) + "]",
-                 fmt_count(in_bin),
+      std::string bin = "[";
+      bin += std::to_string(lo);
+      bin += ", ";
+      bin += std::to_string(hi);
+      bin += ']';
+      t.add_row({bin, fmt_count(in_bin),
                  fmt_pct(static_cast<double>(in_bin) / total, 2)});
     }
     t.print(std::cout);

@@ -95,14 +95,15 @@ void BM_AsaAccumulator(benchmark::State& state) {
 BENCHMARK(BM_AsaAccumulator)->Arg(16)->Arg(256)->Arg(4096);
 
 const core::FlowNetwork& shared_network() {
-  static const core::FlowNetwork fn = [] {
+  static const graph::CsrGraph g = [] {
     gen::ChungLuParams params;
     params.n = 20000;
     params.target_edges = 120000;
     params.gamma = 2.4;
     params.max_deg = 1000;
-    return core::build_flow(gen::chung_lu(params, 5));
+    return gen::chung_lu(params, 5);
   }();
+  static const core::FlowNetwork fn = core::build_flow(g);
   return fn;
 }
 
@@ -113,7 +114,7 @@ void BM_DeltaMove(benchmark::State& state) {
   for (auto _ : state) {
     const auto v =
         static_cast<graph::VertexId>(rng.next_below(fn.num_nodes()));
-    const auto nbrs = fn.graph.out_neighbors(v);
+    const auto nbrs = fn.graph().out_neighbors(v);
     if (nbrs.empty()) continue;
     const auto target = ms.module_of(nbrs[0].dst);
     core::ModuleState::MoveFlows f;
@@ -181,13 +182,16 @@ BENCHMARK(BM_DeltaFold)->Unit(benchmark::kMillisecond);
 /// reference graph, contracted by the partition its level-0 sweeps reach;
 /// the argument is the thread count.
 void BM_Contract(benchmark::State& state) {
-  static const auto level0 = [] {
+  // The level-0 network borrows the graph, so both live as long.
+  static const graph::CsrGraph g = [] {
     gen::ChungLuParams params;
     params.n = 100000;
     params.target_edges = 800000;
     params.gamma = 2.5;
     params.min_deg = 2;
-    const graph::CsrGraph g = gen::chung_lu(params, 42);
+    return gen::chung_lu(params, 42);
+  }();
+  static const auto level0 = [] {
     core::InfomapOptions opts;
     opts.max_levels = 1;
     opts.refine_sweeps = 0;
@@ -199,7 +203,7 @@ void BM_Contract(benchmark::State& state) {
   const auto threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        core::contract_network(fn, modules, k, threads).graph.num_arcs());
+        core::contract_network(fn, modules, k, threads).graph().num_arcs());
   }
   state.counters["modules"] = static_cast<double>(k);
 }

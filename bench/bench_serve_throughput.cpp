@@ -118,7 +118,9 @@ void put_quantiles(Section& s, const obs::MetricRegistry& reg,
                    const char* metric, std::initializer_list<int> percents) {
   const auto h = reg.histogram_merged_all(metric);
   for (const int p : percents) {
-    s.put("p" + std::to_string(p), h.quantile_seconds(p / 100.0));
+    std::string key = "p";
+    key += std::to_string(p);
+    s.put(key, h.quantile_seconds(p / 100.0));
   }
 }
 
@@ -148,7 +150,9 @@ struct Request {
 using Workload = Request (*)(support::Xoshiro256&, graph::VertexId);
 
 std::string vertex(support::Xoshiro256& rng, graph::VertexId n) {
-  return " " + std::to_string(rng.next_below(n));
+  std::string out = " ";
+  out += std::to_string(rng.next_below(n));
+  return out;
 }
 
 Request serve_mix(support::Xoshiro256& rng, graph::VertexId n) {

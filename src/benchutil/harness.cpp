@@ -24,8 +24,15 @@ void Section::add_rows(Table& t, const std::string& prefix) const {
   for (const Field& f : fields_) {
     if (!f.shown.empty()) t.add_row({prefix + f.key, f.shown});
     for (std::size_t i = 0; i < f.nested.size(); ++i) {
-      const std::string at = f.array ? "[" + std::to_string(i) + "]" : "";
-      f.nested[i]->add_rows(t, prefix + f.key + at + ".");
+      std::string nested_prefix = prefix;
+      nested_prefix += f.key;
+      if (f.array) {
+        nested_prefix += '[';
+        nested_prefix += std::to_string(i);
+        nested_prefix += ']';
+      }
+      nested_prefix += '.';
+      f.nested[i]->add_rows(t, nested_prefix);
     }
   }
 }

@@ -21,7 +21,7 @@ namespace {
 FlowNetwork build_flow_undirected(const CsrGraph& g) {
   const VertexId n = g.num_vertices();
   FlowNetwork fn;
-  fn.graph = g;
+  fn.borrow(g);
   fn.total_orig = n;
   fn.orig_count.assign(n, 1);
   fn.teleport_flow.assign(n, 0.0);
@@ -33,20 +33,19 @@ FlowNetwork build_flow_undirected(const CsrGraph& g) {
   for (VertexId v = 0; v < n; ++v) {
     fn.node_flow[v] = g.out_weight(v) / total;
   }
-  fn.out_flow.resize(g.num_arcs());
-  fn.in_flow.resize(g.num_arcs());
-  std::size_t e = 0;
-  for (VertexId u = 0; u < n; ++u) {
-    for (const graph::Arc& arc : g.out_neighbors(u)) {
-      fn.out_flow[e++] = arc.weight / total;
+  const auto arc_flows = [&g, n, total](bool out, std::vector<double>& flow) {
+    flow.resize(g.num_arcs());
+    std::size_t e = 0;
+    for (VertexId u = 0; u < n; ++u) {
+      for (const graph::Arc& arc :
+           out ? g.out_neighbors(u) : g.in_neighbors(u)) {
+        flow[e++] = arc.weight / total;
+      }
     }
-  }
-  e = 0;
-  for (VertexId v = 0; v < n; ++v) {
-    for (const graph::Arc& arc : g.in_neighbors(v)) {
-      fn.in_flow[e++] = arc.weight / total;
-    }
-  }
+  };
+  arc_flows(true, fn.out_flow);
+  // A one-sided graph's in rows are its out rows: in_flow() aliases.
+  if (!g.one_sided()) arc_flows(false, fn.distinct_in_flow);
   return fn;
 }
 
@@ -69,7 +68,7 @@ FlowNetwork build_flow(const CsrGraph& g, const FlowOptions& options) {
   const double tau = options.tau;
 
   FlowNetwork fn;
-  fn.graph = g;
+  fn.borrow(g);
   fn.total_orig = n;
   fn.orig_count.assign(n, 1);
 
@@ -115,9 +114,11 @@ FlowNetwork build_flow(const CsrGraph& g, const FlowOptions& options) {
   }
 
   // Arc flows.  Dangling vertices have no arcs, so their flow is pure
-  // teleportation — consistent with the power iteration above.
+  // teleportation — consistent with the power iteration above.  Flow runs
+  // from source to target, so the in side differs from the out side even
+  // on a one-sided graph.
   fn.out_flow.resize(g.num_arcs());
-  fn.in_flow.resize(g.num_arcs());
+  fn.distinct_in_flow.resize(g.num_arcs());
   {
     std::size_t e = 0;
     for (VertexId u = 0; u < n; ++u) {
@@ -135,7 +136,7 @@ FlowNetwork build_flow(const CsrGraph& g, const FlowOptions& options) {
         const VertexId u = arc.dst;  // source of the incoming arc
         const double s = g.out_weight(u);
         const double scale = s > 0.0 ? (1.0 - tau) * fn.node_flow[u] / s : 0.0;
-        fn.in_flow[e++] = scale * arc.weight;
+        fn.distinct_in_flow[e++] = scale * arc.weight;
       }
     }
   }
@@ -158,7 +159,7 @@ FlowNetwork contract_network(const FlowNetwork& fn, const Partition& modules,
     const VertexId m = modules[u];
     ASAMAP_CHECK(m < k, "module id out of range");
     ++member_start[m + 1];
-    work[m + 1] += 1 + fn.graph.out_degree(u);
+    work[m + 1] += 1 + fn.graph().out_degree(u);
   }
   for (std::size_t m = 0; m < k; ++m) {
     member_start[m + 1] += member_start[m];
@@ -212,8 +213,8 @@ FlowNetwork contract_network(const FlowNetwork& fn, const Partition& modules,
         teleport_flow += fn.teleport_flow[u];
         orig += fn.orig_count[u];
         const std::size_t base =
-            static_cast<std::size_t>(fn.graph.out_offset(u));
-        const auto nbrs = fn.graph.out_neighbors(u);
+            static_cast<std::size_t>(fn.graph().out_offset(u));
+        const auto nbrs = fn.graph().out_neighbors(u);
         for (std::size_t j = 0; j < nbrs.size(); ++j) {
           const VertexId mv = modules[nbrs[j].dst];
           if (mv != m) acc.accumulate(mv, fn.out_flow[base + j]);
@@ -245,37 +246,24 @@ FlowNetwork contract_network(const FlowNetwork& fn, const Partition& modules,
     rows.out_arcs.insert(rows.out_arcs.end(), arcs.begin(), arcs.end());
   }
 
-  // In side: one counting transpose.  Scanning sources in ascending order
-  // leaves every in-row ascending.
-  rows.in_offsets.assign(k + 1, 0);
-  for (const graph::Arc& a : rows.out_arcs) ++rows.in_offsets[a.dst + 1];
-  for (std::size_t m = 0; m < k; ++m) {
-    rows.in_offsets[m + 1] += rows.in_offsets[m];
-  }
-  rows.in_arcs.resize(rows.out_arcs.size());
-  {
-    std::vector<graph::EdgeId> cursor(rows.in_offsets.begin(),
-                                      rows.in_offsets.end() - 1);
-    for (std::size_t u = 0; u < k; ++u) {
-      for (graph::EdgeId e = rows.out_offsets[u]; e < rows.out_offsets[u + 1];
-           ++e) {
-        const graph::Arc& a = rows.out_arcs[e];
-        rows.in_arcs[cursor[a.dst]++] =
-            graph::Arc{static_cast<VertexId>(u), a.weight};
-      }
-    }
-  }
-  out.graph = CsrGraph::from_rows(std::move(rows));
+  rows.derive_in_side();
+  out.own(CsrGraph::from_rows(std::move(rows)));
+  const CsrGraph& g = out.graph();
 
   // At supernode levels, arc flow == arc weight (already aggregated flow).
-  out.out_flow.reserve(out.graph.num_arcs());
-  out.in_flow.reserve(out.graph.num_arcs());
-  for (VertexId u = 0; u < out.graph.num_vertices(); ++u) {
-    for (const graph::Arc& a : out.graph.out_neighbors(u)) {
+  // A one-sided contraction's in-flow aliases its out-flow.
+  out.out_flow.reserve(g.num_arcs());
+  for (VertexId u = 0; u < g.num_vertices(); ++u) {
+    for (const graph::Arc& a : g.out_neighbors(u)) {
       out.out_flow.push_back(a.weight);
     }
-    for (const graph::Arc& a : out.graph.in_neighbors(u)) {
-      out.in_flow.push_back(a.weight);
+  }
+  if (!g.one_sided()) {
+    out.distinct_in_flow.reserve(g.num_arcs());
+    for (VertexId u = 0; u < g.num_vertices(); ++u) {
+      for (const graph::Arc& a : g.in_neighbors(u)) {
+        out.distinct_in_flow.push_back(a.weight);
+      }
     }
   }
   return out;

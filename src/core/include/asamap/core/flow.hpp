@@ -18,6 +18,8 @@
 /// supernode's visit rate is the sum of member visit rates.
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "asamap/graph/csr_graph.hpp"
@@ -43,27 +45,55 @@ struct FlowOptions {
   double tolerance = 1e-12;   ///< L1 convergence threshold
 };
 
-/// A graph annotated with random-walk flow.  Owns its graph (levels above 0
-/// are contracted copies; level 0 copies the input so a FlowNetwork is
-/// self-contained).
+/// A graph annotated with random-walk flow.  Level 0 borrows its graph: the
+/// caller of build_flow keeps it alive for the network's lifetime.  Levels
+/// above 0 own their contracted graph through `owned_`, so copies and moves
+/// of a FlowNetwork never copy adjacency.
 struct FlowNetwork {
-  CsrGraph graph;
   std::vector<double> node_flow;      ///< p_v, sums to 1
   std::vector<double> teleport_flow;  ///< tau * p_v aggregated over members
   std::vector<double> out_flow;       ///< per CSR out-arc flow, arc order
-  std::vector<double> in_flow;        ///< per CSR in-arc flow, arc order
+  /// Per CSR in-arc flow, arc order — left empty when it would equal
+  /// out_flow element for element (a one-sided graph under a symmetric
+  /// flow).  Read it through in_flow().
+  std::vector<double> distinct_in_flow;
   std::vector<std::uint64_t> orig_count;  ///< original vertices per node
   std::uint64_t total_orig = 0;       ///< vertex count at level 0
   int pagerank_iterations = 0;        ///< iterations the power method used
 
+  [[nodiscard]] const CsrGraph& graph() const noexcept { return *graph_; }
   [[nodiscard]] VertexId num_nodes() const noexcept {
-    return graph.num_vertices();
+    return graph_->num_vertices();
   }
+  /// Per CSR in-arc flow, arc order.
+  [[nodiscard]] std::span<const double> in_flow() const noexcept {
+    return distinct_in_flow.empty() ? out_flow : distinct_in_flow;
+  }
+
+  /// Points the network at `g`, which must outlive it.
+  void borrow(const CsrGraph& g) noexcept {
+    owned_.reset();
+    graph_ = &g;
+  }
+  void borrow(const CsrGraph&&) = delete;
+  /// Makes the network the owner of `g`.
+  void own(CsrGraph g) {
+    owned_ = std::make_shared<const CsrGraph>(std::move(g));
+    graph_ = owned_.get();
+  }
+
+ private:
+  const CsrGraph* graph_ = nullptr;
+  std::shared_ptr<const CsrGraph> owned_;  ///< set at contracted levels
 };
 
-/// Builds the level-0 flow network: runs the PageRank kernel and derives arc
-/// flows.  Works for directed and undirected graphs alike.
+/// Builds the level-0 flow network over `g`, which it borrows: runs the
+/// PageRank kernel and derives arc flows.  Works for directed and
+/// undirected graphs alike.  A temporary graph would dangle, so rvalues do
+/// not bind.
 FlowNetwork build_flow(const CsrGraph& g, const FlowOptions& options = {});
+FlowNetwork build_flow(const CsrGraph&& g,
+                       const FlowOptions& options = {}) = delete;
 
 /// Convert2SuperNode: contracts a flow network by a partition (community id
 /// per node, already compacted to 0..k-1).  Member vertices of one module

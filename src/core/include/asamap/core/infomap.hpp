@@ -182,8 +182,8 @@ inline void seed_active_set(const FlowNetwork& fn,
   for (const VertexId s : seed) {
     if (s >= n) continue;
     active[s] = 1;
-    for (const graph::Arc& a : fn.graph.out_neighbors(s)) active[a.dst] = 1;
-    for (const graph::Arc& a : fn.graph.in_neighbors(s)) active[a.dst] = 1;
+    for (const graph::Arc& a : fn.graph().out_neighbors(s)) active[a.dst] = 1;
+    for (const graph::Arc& a : fn.graph().in_neighbors(s)) active[a.dst] = 1;
   }
 }
 
@@ -233,6 +233,9 @@ class SweepExecutor {
   virtual ~SweepExecutor() = default;
   /// Team size for the loop's UpdateMembers and Convert2SuperNode kernels.
   [[nodiscard]] virtual int threads() const { return 1; }
+  /// Arms the per-level workspace for a level of `n` nodes; called before
+  /// each sweep_level(), inside the loop's `level.setup` span.
+  virtual void begin_level(VertexId /*n*/) {}
   /// Sweeps `lv.state` until convergence, opts.max_sweeps_per_level, or a
   /// cancel (which sets result.interrupted).  Leaves the state's aggregates
   /// recomputed from scratch.
@@ -250,14 +253,17 @@ class SweepExecutor {
 /// at a time.  Not copyable: kernel timers point into the owned result.
 class MultilevelRun {
  public:
-  /// PageRank kernel: builds the flow network.  Call begin_level() next.
+  /// PageRank kernel: builds the flow network over `g`, which it borrows —
+  /// `g` must outlive the run.  Call begin_level() next.
   MultilevelRun(const graph::CsrGraph& g, const InfomapOptions& opts);
+  MultilevelRun(const graph::CsrGraph&& g, const InfomapOptions& opts) = delete;
   MultilevelRun(const MultilevelRun&) = delete;
   MultilevelRun& operator=(const MultilevelRun&) = delete;
 
-  /// Fresh module state for the current level: singletons, or the warm
-  /// start partition at level 0.
-  void begin_level();
+  /// Level setup, under one `level.setup` trace span: fresh module state
+  /// for the current level (singletons, or the warm start partition at
+  /// level 0), its simulated addresses, and `exec`'s per-level workspace.
+  void begin_level(SweepExecutor& exec);
   /// The current level as an executor sees it.
   [[nodiscard]] LevelSweep current();
   /// Ends the current level: compacts its partition, runs UpdateMembers,

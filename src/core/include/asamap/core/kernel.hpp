@@ -55,8 +55,8 @@ struct LevelAddresses {
   static LevelAddresses for_network(const FlowNetwork& fn,
                                     hashdb::AddressSpace& addrs) {
     LevelAddresses a;
-    a.out_arcs = addrs.alloc_array(fn.graph.num_arcs() * 16);
-    a.in_arcs = addrs.alloc_array(fn.graph.num_arcs() * 16);
+    a.out_arcs = addrs.alloc_array(fn.graph().num_arcs() * 16);
+    a.in_arcs = addrs.alloc_array(fn.graph().num_arcs() * 16);
     a.module_of = addrs.alloc_array(std::uint64_t{fn.num_nodes()} * 4);
     a.module_agg = addrs.alloc_array(std::uint64_t{fn.num_nodes()} * 48);
     a.pair_scan = addrs.alloc_array(1ULL << 20);
@@ -162,7 +162,7 @@ MoveProposal evaluate_move(const ModuleState& state, const FlowNetwork& fn,
                            const KernelCosts& costs,
                            KernelBreakdown& breakdown,
                            bool time_wall = false) {
-  const graph::CsrGraph& g = fn.graph;
+  const graph::CsrGraph& g = fn.graph();
   ++breakdown.vertices;
 
   // One timer, armed only when the caller wants the hash/other wall split:
@@ -203,8 +203,11 @@ MoveProposal evaluate_move(const ModuleState& state, const FlowNetwork& fn,
     }
   }
   {
+    // On a one-sided graph these are the out row and out_flow again, still
+    // warm from the loop above.
     const std::size_t base = static_cast<std::size_t>(g.in_offset(v));
     const auto arcs = g.in_neighbors(v);
+    const double* const in_flow = fn.in_flow().data();
     for (std::size_t i = 0; i < arcs.size(); ++i) {
       if (i + kModulePrefetchDistance < arcs.size()) {
         ASAMAP_PREFETCH_READ(modules + arcs[i + kModulePrefetchDistance].dst);
@@ -213,7 +216,7 @@ MoveProposal evaluate_move(const ModuleState& state, const FlowNetwork& fn,
       sink.load(addrs.module_of + std::uint64_t{arcs[i].dst} * 4, 4);
       sink.instructions(costs.per_link);
       const double t0 = detail::cycles_of(sink);
-      acc.accumulate(modules[arcs[i].dst], fn.in_flow[base + i]);
+      acc.accumulate(modules[arcs[i].dst], in_flow[base + i]);
       hash_cycles += detail::cycles_of(sink) - t0;
     }
     breakdown.accumulate_calls += arcs.size();
@@ -344,10 +347,10 @@ bool find_best_community(ModuleState& state, const FlowNetwork& fn, VertexId v,
 inline void mark_neighborhood(const FlowNetwork& fn, VertexId v,
                               std::uint8_t* next_active) {
   next_active[v] = 1;
-  for (const graph::Arc& arc : fn.graph.out_neighbors(v)) {
+  for (const graph::Arc& arc : fn.graph().out_neighbors(v)) {
     next_active[arc.dst] = 1;
   }
-  for (const graph::Arc& arc : fn.graph.in_neighbors(v)) {
+  for (const graph::Arc& arc : fn.graph().in_neighbors(v)) {
     next_active[arc.dst] = 1;
   }
 }

@@ -81,7 +81,8 @@ MultilevelRun::MultilevelRun(const graph::CsrGraph& g,
                           static_cast<double>(g.num_vertices());
 }
 
-void MultilevelRun::begin_level() {
+void MultilevelRun::begin_level(SweepExecutor& exec) {
+  obs::TraceSpan span("level.setup", obs::TraceCat::kKernel);
   if (level_ == 0 && opts_.warm_start != nullptr) {
     ASAMAP_CHECK(opts_.warm_start->size() == fn_->num_nodes(),
                  "warm_start must have one entry per vertex");
@@ -93,6 +94,7 @@ void MultilevelRun::begin_level() {
   }
   if (level_ == 0) result_.initial_codelength = state_->codelength();
   addrs_ = LevelAddresses::for_network(*fn_, addr_space_);
+  exec.begin_level(fn_->num_nodes());
 }
 
 LevelSweep MultilevelRun::current() {
@@ -189,7 +191,7 @@ InfomapResult run_levels(const graph::CsrGraph& g, const InfomapOptions& opts,
                          SweepExecutor& exec) {
   MultilevelRun run(g, opts);
   for (int level = 0; level < opts.max_levels; ++level) {
-    run.begin_level();
+    run.begin_level(exec);
     exec.sweep_level(run.current());
     if (!run.end_level(exec.threads())) break;
   }
@@ -430,11 +432,11 @@ std::uint64_t parallel_sweeps(const LevelSweep& lv, int max_sweeps,
               ++epoch;
               ws.stamp[v] = epoch;
               ws.next_active[v] = 1;
-              for (const graph::Arc& arc : fn.graph.out_neighbors(v)) {
+              for (const graph::Arc& arc : fn.graph().out_neighbors(v)) {
                 ws.stamp[arc.dst] = epoch;
                 ws.next_active[arc.dst] = 1;
               }
-              for (const graph::Arc& arc : fn.graph.in_neighbors(v)) {
+              for (const graph::Arc& arc : fn.graph().in_neighbors(v)) {
                 ws.stamp[arc.dst] = epoch;
                 ws.next_active[arc.dst] = 1;
               }
@@ -472,8 +474,11 @@ class ProposeVerifyExecutor final : public SweepExecutor {
 
   [[nodiscard]] int threads() const override { return ws_.threads; }
 
+  void begin_level(VertexId n) override {
+    ws_.reset(n);  // sizes the buffers at level 0
+  }
+
   void sweep_level(const LevelSweep& lv) override {
-    ws_.reset(lv.fn.num_nodes());  // sizes the buffers at level 0
     {
       obs::KernelSpan span(lv.ktimers, obs::KernelPhase::kFindBestCommunity);
       parallel_sweeps(lv, lv.opts.max_sweeps_per_level, costs_, ws_,

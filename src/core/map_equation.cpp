@@ -49,14 +49,17 @@ void ModuleState::init_aggregates() {
   {
     std::size_t e = 0;
     for (VertexId u = 0; u < n; ++u) {
-      for ([[maybe_unused]] const graph::Arc& arc : fn.graph.out_neighbors(u)) {
+      for ([[maybe_unused]] const graph::Arc& arc :
+           fn.graph().out_neighbors(u)) {
         node_out_[u] += fn.out_flow[e++];
       }
     }
     e = 0;
+    const std::span<const double> in_flow = fn.in_flow();
     for (VertexId v = 0; v < n; ++v) {
-      for ([[maybe_unused]] const graph::Arc& arc : fn.graph.in_neighbors(v)) {
-        node_in_[v] += fn.in_flow[e++];
+      for ([[maybe_unused]] const graph::Arc& arc :
+           fn.graph().in_neighbors(v)) {
+        node_in_[v] += in_flow[e++];
       }
     }
   }
@@ -77,7 +80,7 @@ void ModuleState::init_aggregates() {
     std::size_t e = 0;
     for (VertexId u = 0; u < n; ++u) {
       const VertexId mu = module_of_[u];
-      for (const graph::Arc& arc : fn.graph.out_neighbors(u)) {
+      for (const graph::Arc& arc : fn.graph().out_neighbors(u)) {
         const VertexId mv = module_of_[arc.dst];
         if (mu != mv) {
           mods_[mu].out_link += fn.out_flow[e];

@@ -72,7 +72,6 @@ void SuperstepExecutor::sweep_level(const core::LevelSweep& lv) {
   obs::KernelSpan span(lv.ktimers, obs::KernelPhase::kFindBestCommunity);
   const VertexId n = lv.fn.num_nodes();
   const auto ranges = make_ranges(n, ranks_);
-  begin_level(n);
 
   double prev_codelength = lv.state.codelength();
   std::vector<VertexId> movers;
@@ -97,7 +96,7 @@ void SuperstepExecutor::sweep_level(const core::LevelSweep& lv) {
                                               0);
       for (VertexId v : movers) {
         const std::uint32_t src = owner_of(v, n, ranges);
-        for (const graph::Arc& arc : lv.fn.graph.out_neighbors(v)) {
+        for (const graph::Arc& arc : lv.fn.graph().out_neighbors(v)) {
           const std::uint32_t dst = owner_of(arc.dst, n, ranges);
           if (dst != src) ++pair_traffic[std::size_t{src} * ranks_ + dst];
         }

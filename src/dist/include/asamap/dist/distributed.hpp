@@ -90,7 +90,7 @@ class SuperstepExecutor final : public core::SweepExecutor {
   // at a time (with ranks = 1: one process, one accumulator heap).
 
   /// Arms a level of n nodes: every vertex active, fresh rank heaps.
-  void begin_level(graph::VertexId n);
+  void begin_level(graph::VertexId n) override;
   /// Local phase of `rank`: appends the active vertices of `range` whose
   /// best move against the current state improves the codelength.
   void propose(const core::LevelSweep& lv, ShardRange range,

@@ -184,8 +184,7 @@ class Router : public serve::RequestHandler {
   std::string handle_ingest(std::string_view verb,
                             const std::vector<std::string_view>& tokens,
                             std::string_view line);
-  std::string handle_cluster(const std::vector<std::string_view>& tokens,
-                             std::string_view line);
+  std::string handle_cluster(const std::vector<std::string_view>& tokens);
   std::string run_dist_cluster(const std::string& name);
   std::string handle_shards();
   std::string handle_stats();

@@ -348,7 +348,7 @@ std::string Router::dispatch(std::string_view line,
   if (verb == "SAME") return handle_same(tokens, line);
   if (verb == "TOPK") return handle_topk(tokens, line);
   if (verb == "SUMMARY") return handle_summary(tokens, line);
-  if (verb == "CLUSTER") return handle_cluster(tokens, line);
+  if (verb == "CLUSTER") return handle_cluster(tokens);
   if (verb == "GEN" || verb == "LOAD" || verb == "DROP" ||
       verb == "ADD_EDGE" || verb == "DEL_EDGE" || verb == "APPLY") {
     return handle_ingest(verb, tokens, line);
@@ -795,7 +795,7 @@ std::string Router::handle_ingest(std::string_view verb,
 }
 
 std::string Router::handle_cluster(
-    const std::vector<std::string_view>& tokens, std::string_view line) {
+    const std::vector<std::string_view>& tokens) {
   if (tokens.size() < 2) {
     return err("invalid_argument",
                "usage: CLUSTER <name> [sync] [mode=dist] [...]");

@@ -58,8 +58,7 @@ struct ShardSession::DclusterState {
   }
 
   void begin_level() {
-    run.begin_level();
-    steps.begin_level(run.network().num_nodes());
+    run.begin_level(steps);
     pending_applied = 0;
   }
 };

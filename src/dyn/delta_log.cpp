@@ -174,6 +174,12 @@ void DeltaView::splice_side(const PatchMap& patches, bool out,
 graph::CsrGraph DeltaView::materialize() const {
   graph::CsrRows rows;
   splice_side(out_patches_, true, rows.out_offsets, rows.out_arcs);
+  // Undirected records patch each in row with the same runs as its out row,
+  // so over a one-sided base every merged in row is its out row bitwise:
+  // the result is one-sided too.
+  if (undirected_ && base_->one_sided()) {
+    return graph::CsrGraph::from_rows(std::move(rows));
+  }
   splice_side(in_patches_, false, rows.in_offsets, rows.in_arcs);
   // Every patched row, on either side, is an endpoint of some record, so
   // on a symmetric base only touched_ can have lost its symmetry.

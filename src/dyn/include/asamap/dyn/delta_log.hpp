@@ -141,11 +141,13 @@ class DeltaView {
   [[nodiscard]] std::size_t out_degree(graph::VertexId u) const;
 
   /// Folds base + batch into a fresh immutable CSR — the compaction step.
-  /// Builds both sides' row arrays directly: each maximal run of rows no
-  /// record touched is copied from the base as one block, and only patched
-  /// rows go through the merge.  On a symmetric base only the touched rows
-  /// are re-checked for symmetry.  The result is bitwise the graph
-  /// from_edges would build from the merged arcs in (src, dst) order.
+  /// Builds the row arrays directly: each maximal run of rows no record
+  /// touched is copied from the base as one block, and only patched rows
+  /// go through the merge.  Undirected records over a one-sided base
+  /// splice only the out side and stay one-sided; otherwise both sides are
+  /// spliced, and on a symmetric base only the touched rows are re-checked
+  /// for symmetry.  Every row, weight and the symmetry flag are bitwise
+  /// what from_edges would build from the merged arcs in (src, dst) order.
   [[nodiscard]] graph::CsrGraph materialize() const;
 
  private:

@@ -52,7 +52,7 @@ enum class TraceCat : std::uint8_t {
   kSession = 0,   ///< protocol verbs, CLI runs
   kScheduler = 1, ///< queue wait, dispatch retries, job bodies
   kRegistry = 2,  ///< graph ingest and its retries
-  kKernel = 3,    ///< the four HyPC-Map kernel phases
+  kKernel = 3,    ///< the four HyPC-Map kernel phases, and level setup
   kFault = 4,     ///< injected-fault annotations
   kUser = 5,      ///< TRACE MARK
 };

@@ -29,10 +29,12 @@ GraphRegistry::GraphRegistry(const RegistryConfig& config) : config_(config) {
 }
 
 std::size_t GraphRegistry::approx_bytes(const graph::CsrGraph& g) noexcept {
-  // CSR stores out+in arcs, two offset arrays, and two weight sums.
+  // CSR stores, per side, arcs, an offset array, and a weight sum; a
+  // one-sided graph stores the out side only.
+  const std::size_t sides = g.one_sided() ? 1 : 2;
   const std::size_t per_vertex =
-      2 * sizeof(graph::EdgeId) + 2 * sizeof(graph::Weight);
-  const std::size_t per_arc = 2 * sizeof(graph::Arc);
+      sides * (sizeof(graph::EdgeId) + sizeof(graph::Weight));
+  const std::size_t per_arc = sides * sizeof(graph::Arc);
   return sizeof(graph::CsrGraph) + g.num_vertices() * per_vertex +
          static_cast<std::size_t>(g.num_arcs()) * per_arc;
 }

@@ -499,6 +499,32 @@ TEST(DeltaFuzz, SpliceIsBitwiseTheEdgeListFold) {
   EXPECT_TRUE(restored.materialize().is_symmetric());
 }
 
+TEST(DeltaFuzz, UndirectedFoldOverOneSidedBaseStaysOneSided) {
+  const auto base = gen::erdos_renyi(300, 0.03, 4201);
+  ASSERT_TRUE(base.one_sided());
+  support::Xoshiro256 rng(4203);
+  const auto stream = random_stream(rng, base, 200);
+  const DeltaView view(base, stream);
+  const graph::CsrGraph merged = view.materialize();
+  EXPECT_TRUE(merged.one_sided());
+  EXPECT_TRUE(merged.is_symmetric());
+  EXPECT_TRUE(edge_list_fold(view).one_sided());
+  expect_bitwise_fold(view, "undirected over one-sided");
+}
+
+TEST(DeltaFuzz, OneDirectionAddOverOneSidedBaseGetsTwoSides) {
+  const auto base = gen::erdos_renyi(300, 0.03, 4201);
+  ASSERT_TRUE(base.one_sided());
+  const std::vector<DeltaRecord> one_way = {{3, 250, 1.0, DeltaOp::kAddEdge}};
+  const DeltaView view(base, one_way, /*undirected=*/false);
+  const graph::CsrGraph merged = view.materialize();
+  EXPECT_FALSE(merged.one_sided());
+  EXPECT_FALSE(merged.is_symmetric());
+  EXPECT_NE(merged.in_neighbors(3).data(), merged.out_neighbors(3).data());
+  // Equal, row for row and bit for bit, to from_edges of the same arcs.
+  expect_bitwise_fold(view, "one-direction add");
+}
+
 // --- incremental warm-start planning --------------------------------------
 
 TEST(WarmStart, CarriesMembershipAndSeedsNewVertices) {

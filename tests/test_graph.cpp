@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <sstream>
 #include <vector>
@@ -241,6 +242,73 @@ TEST(CsrGraph, FromRowsChecksOnlyTheNamedRows) {
   EXPECT_EQ(trusted.out_weight(2), 2.0);
   EXPECT_EQ(trusted.in_weight(0), 3.0);
   EXPECT_EQ(trusted.total_arc_weight(), 4.0);
+}
+
+// --- one-sided storage ------------------------------------------------------
+
+TEST(CsrGraph, BitwiseSymmetricGraphIsOneSided) {
+  const CsrGraph g = CsrGraph::from_edges(triangle());
+  EXPECT_TRUE(g.is_symmetric());
+  EXPECT_TRUE(g.one_sided());
+  for (VertexId u = 0; u < g.num_vertices(); ++u) {
+    EXPECT_EQ(g.in_neighbors(u).data(), g.out_neighbors(u).data());
+    EXPECT_EQ(g.in_neighbors(u).size(), g.out_neighbors(u).size());
+    EXPECT_EQ(g.in_offset(u), g.out_offset(u));
+    EXPECT_EQ(g.in_degree(u), g.out_degree(u));
+    EXPECT_EQ(g.in_weight(u), g.out_weight(u));
+  }
+}
+
+TEST(CsrGraph, SymmetricWithinToleranceKeepsBothSides) {
+  // 0 <-> 1 whose reverse weight differs in the last bits: symmetric
+  // within 1e-12, not bitwise.
+  const double w = 1.0;
+  const double w_close = std::nextafter(w, 2.0);
+  CsrRows rows;
+  rows.out_offsets = {0, 1, 2};
+  rows.out_arcs = {{1, w}, {0, w_close}};
+  rows.in_offsets = {0, 1, 2};
+  rows.in_arcs = {{1, w_close}, {0, w}};
+  const CsrGraph g = CsrGraph::from_rows(rows);
+  EXPECT_TRUE(g.is_symmetric());
+  EXPECT_FALSE(g.one_sided());
+  EXPECT_NE(g.in_neighbors(0).data(), g.out_neighbors(0).data());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(g.in_neighbors(0)[0].weight),
+            std::bit_cast<std::uint64_t>(w_close));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(g.in_weight(1)),
+            std::bit_cast<std::uint64_t>(w));
+}
+
+TEST(CsrGraph, DirectedGraphKeepsBothSides) {
+  EdgeList e;
+  e.add(0, 1);
+  e.add(1, 2);
+  e.add(2, 0);
+  e.coalesce();
+  const CsrGraph g = CsrGraph::from_edges(e);
+  EXPECT_FALSE(g.one_sided());
+  EXPECT_NE(g.in_neighbors(0).data(), g.out_neighbors(0).data());
+  EXPECT_EQ(g.in_neighbors(0)[0].dst, 2u);
+  EXPECT_EQ(g.out_neighbors(0)[0].dst, 1u);
+}
+
+TEST(CsrGraph, FromRowsAdoptsAnEmptyInSideAsTheOutSide) {
+  CsrRows rows;
+  rows.out_offsets = {0, 1, 2};
+  rows.out_arcs = {{1, 0.5}, {0, 0.5}};
+  const CsrGraph g = CsrGraph::from_rows(rows);
+  EXPECT_TRUE(g.one_sided());
+  EXPECT_TRUE(g.is_symmetric());
+  EXPECT_EQ(g.in_neighbors(1).data(), g.out_neighbors(1).data());
+  EXPECT_EQ(g.in_weight(1), 0.5);
+  EXPECT_EQ(g.total_arc_weight(), 1.0);
+  // Named rows vouch only for tolerance, so the graph keeps both sides
+  // even when every row matches bitwise.
+  rows.in_offsets = rows.out_offsets;
+  rows.in_arcs = rows.out_arcs;
+  const std::vector<VertexId> named = {0};
+  EXPECT_FALSE(CsrGraph::from_rows(rows, &named).one_sided());
+  EXPECT_TRUE(CsrGraph::from_rows(rows).one_sided());
 }
 
 TEST(SnapIo, ParsesCommentsAndEdges) {

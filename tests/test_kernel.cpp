@@ -263,7 +263,7 @@ TEST(Kernel, EvaluateMoveMatchesBruteForceDeltaMove) {
       const auto ins = g.in_neighbors(v);
       for (std::size_t i = 0; i < ins.size(); ++i) {
         acc.accumulate(state.module_of(ins[i].dst),
-                       fn.in_flow[g.in_offset(v) + i]);
+                       fn.in_flow()[g.in_offset(v) + i]);
       }
       const auto pairs = acc.finalize();
 

@@ -104,7 +104,7 @@ TEST(MapEquation, DeltaMatchesRecomputedCodelength) {
   for (int trial = 0; trial < 300; ++trial) {
     const auto v = static_cast<VertexId>(rng.next_below(fn.num_nodes()));
     // Pick the module of a random neighbor as target (realistic moves).
-    const auto nbrs = fn.graph.out_neighbors(v);
+    const auto nbrs = fn.graph().out_neighbors(v);
     if (nbrs.empty()) continue;
     const VertexId u = nbrs[rng.next_below(nbrs.size())].dst;
     const VertexId target = state.module_of(u);
@@ -112,7 +112,7 @@ TEST(MapEquation, DeltaMatchesRecomputedCodelength) {
 
     // Compute link flows between v and the two modules directly.
     ModuleState::MoveFlows f;
-    const std::size_t base = static_cast<std::size_t>(fn.graph.out_offset(v));
+    const std::size_t base = static_cast<std::size_t>(fn.graph().out_offset(v));
     for (std::size_t i = 0; i < nbrs.size(); ++i) {
       const VertexId m = state.module_of(nbrs[i].dst);
       if (m == target) {
@@ -150,13 +150,13 @@ TEST(MapEquation, RecomputeIsNoOpUpToTolerance) {
   support::Xoshiro256 rng(17);
   for (int trial = 0; trial < 200; ++trial) {
     const auto v = static_cast<VertexId>(rng.next_below(fn.num_nodes()));
-    const auto nbrs = fn.graph.out_neighbors(v);
+    const auto nbrs = fn.graph().out_neighbors(v);
     if (nbrs.empty()) continue;
     const VertexId target =
         state.module_of(nbrs[rng.next_below(nbrs.size())].dst);
     if (target == state.module_of(v)) continue;
     ModuleState::MoveFlows f;
-    const std::size_t base = static_cast<std::size_t>(fn.graph.out_offset(v));
+    const std::size_t base = static_cast<std::size_t>(fn.graph().out_offset(v));
     for (std::size_t i = 0; i < nbrs.size(); ++i) {
       const VertexId m = state.module_of(nbrs[i].dst);
       if (m == target) {
@@ -184,8 +184,8 @@ TEST(MapEquation, DirectedTeleportTermsFinite) {
   e.coalesce();
   core::FlowOptions opts;
   opts.model = core::FlowModel::kDirected;
-  const FlowNetwork fn =
-      core::build_flow(CsrGraph::from_edges(e), opts);
+  const CsrGraph g = CsrGraph::from_edges(e);
+  const FlowNetwork fn = core::build_flow(g, opts);
   ModuleState state(fn);
   EXPECT_TRUE(std::isfinite(state.codelength()));
   EXPECT_GT(state.codelength(), 0.0);
@@ -204,14 +204,14 @@ class ReferenceDelta {
     // Same accumulation order as ModuleState, so the totals are bitwise equal.
     std::size_t e = 0;
     for (VertexId u = 0; u < fn.num_nodes(); ++u) {
-      for (std::size_t i = 0; i < fn.graph.out_neighbors(u).size(); ++i) {
+      for (std::size_t i = 0; i < fn.graph().out_neighbors(u).size(); ++i) {
         node_out_[u] += fn.out_flow[e++];
       }
     }
     e = 0;
     for (VertexId u = 0; u < fn.num_nodes(); ++u) {
-      for (std::size_t i = 0; i < fn.graph.in_neighbors(u).size(); ++i) {
-        node_in_[u] += fn.in_flow[e++];
+      for (std::size_t i = 0; i < fn.graph().in_neighbors(u).size(); ++i) {
+        node_in_[u] += fn.in_flow()[e++];
       }
     }
     for (VertexId u = 0; u < fn.num_nodes(); ++u) {
@@ -288,8 +288,8 @@ ModuleState::MoveFlows exact_flows(const FlowNetwork& fn,
                                    VertexId target) {
   ModuleState::MoveFlows f;
   const VertexId current = s.module_of(v);
-  const auto outs = fn.graph.out_neighbors(v);
-  const auto out_base = static_cast<std::size_t>(fn.graph.out_offset(v));
+  const auto outs = fn.graph().out_neighbors(v);
+  const auto out_base = static_cast<std::size_t>(fn.graph().out_offset(v));
   for (std::size_t i = 0; i < outs.size(); ++i) {
     const VertexId m = s.module_of(outs[i].dst);
     if (m == target) f.out_to_target += fn.out_flow[out_base + i];
@@ -297,13 +297,13 @@ ModuleState::MoveFlows exact_flows(const FlowNetwork& fn,
       f.out_to_current += fn.out_flow[out_base + i];
     }
   }
-  const auto ins = fn.graph.in_neighbors(v);
-  const auto in_base = static_cast<std::size_t>(fn.graph.in_offset(v));
+  const auto ins = fn.graph().in_neighbors(v);
+  const auto in_base = static_cast<std::size_t>(fn.graph().in_offset(v));
   for (std::size_t i = 0; i < ins.size(); ++i) {
     const VertexId m = s.module_of(ins[i].dst);
-    if (m == target) f.in_from_target += fn.in_flow[in_base + i];
+    if (m == target) f.in_from_target += fn.in_flow()[in_base + i];
     if (m == current && ins[i].dst != v) {
-      f.in_from_current += fn.in_flow[in_base + i];
+      f.in_from_current += fn.in_flow()[in_base + i];
     }
   }
   return f;
@@ -336,7 +336,7 @@ void check_split_delta_bitwise(const FlowNetwork& fn, int moves,
   int applied = 0;
   for (int attempt = 0; applied < moves && attempt < 50 * moves; ++attempt) {
     const auto v = static_cast<VertexId>(rng.next_below(fn.num_nodes()));
-    const auto nbrs = fn.graph.out_neighbors(v);
+    const auto nbrs = fn.graph().out_neighbors(v);
     if (nbrs.empty()) continue;
     const VertexId target =
         state.module_of(nbrs[rng.next_below(nbrs.size())].dst);
@@ -374,7 +374,8 @@ TEST(MapEquation, SplitDeltaIsBitwiseTheFullFormulaDirectedTeleport) {
   e.coalesce();
   core::FlowOptions opts;
   opts.model = core::FlowModel::kDirected;
-  const FlowNetwork fn = core::build_flow(CsrGraph::from_edges(e), opts);
+  const CsrGraph g = CsrGraph::from_edges(e);
+  const FlowNetwork fn = core::build_flow(g, opts);
   ASSERT_GT(fn.teleport_flow[0], 0.0);
   check_split_delta_bitwise(fn, 10000, 31);
 }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 #include <unordered_map>
 
 #include "asamap/asa/accumulator.hpp"
@@ -104,8 +105,12 @@ INSTANTIATE_TEST_SUITE_P(
                             : suite_info.param.policy == asa::EvictionPolicy::kFifo
                                   ? "Fifo"
                                   : "Random";
-      return "E" + std::to_string(suite_info.param.entries) + "W" +
-             std::to_string(suite_info.param.ways) + pol;
+      std::string name = "E";
+      name += std::to_string(suite_info.param.entries);
+      name += 'W';
+      name += std::to_string(suite_info.param.ways);
+      name += pol;
+      return name;
     });
 
 // ------------------------------------------------ hash-map shape properties

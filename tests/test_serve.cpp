@@ -14,6 +14,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "asamap/gen/generators.hpp"
 #include "asamap/obs/build_info.hpp"
 #include "asamap/obs/metrics.hpp"
+#include "asamap/obs/tracing.hpp"
 #include "asamap/serve/graph_registry.hpp"
 #include "asamap/serve/job_scheduler.hpp"
 #include "asamap/serve/partition_store.hpp"
@@ -112,6 +114,29 @@ TEST(GraphRegistry, EvictsLeastRecentlyUsedUnderBudget) {
   EXPECT_GE(stats.evictions, 1u);
   EXPECT_EQ(reg.get("g1"), nullptr);  // cold entry went first
   EXPECT_NE(reg.get("g2"), nullptr);  // the insert itself is never evicted
+}
+
+TEST(GraphRegistry, BudgetChargesUndirectedGraphsOneSide) {
+  // What an undirected graph holds: one side's arcs, offsets and weight
+  // sums.  A budget of exactly two such graphs keeps both resident.
+  const graph::CsrGraph g1 = small_graph(1);
+  const graph::CsrGraph g2 = small_graph(2);
+  ASSERT_TRUE(g1.one_sided() && g2.one_sided());
+  const auto held = [](const graph::CsrGraph& g) {
+    return sizeof(graph::CsrGraph) +
+           g.num_vertices() * (sizeof(graph::EdgeId) + sizeof(graph::Weight)) +
+           static_cast<std::size_t>(g.num_arcs()) * sizeof(graph::Arc);
+  };
+  EXPECT_EQ(GraphRegistry::approx_bytes(g1), held(g1));
+  RegistryConfig config;
+  config.memory_budget_bytes = held(g1) + held(g2);
+  GraphRegistry reg(config);
+  ASSERT_TRUE(reg.put_graph("g1", g1).ok());
+  ASSERT_TRUE(reg.put_graph("g2", g2).ok());
+  EXPECT_EQ(reg.stats().evictions, 0u);
+  EXPECT_NE(reg.get("g1"), nullptr);
+  EXPECT_NE(reg.get("g2"), nullptr);
+  EXPECT_FALSE(reg.under_pressure());
 }
 
 TEST(GraphRegistry, EvictedGraphSurvivesForHolders) {
@@ -755,6 +780,50 @@ TEST(ServeRobustness, MetricSchemaIsPreRegistered) {
 
 // A CRLF client (telnet, netcat, any TCP peer) terminates lines with \r\n;
 // the \r must not reach the parser welded onto the last token.
+TEST(ServeSession, ClusterTraceNamesTheLevelSetup) {
+  SessionConfig cfg;
+  cfg.scheduler.workers = 1;
+  cfg.cluster_threads = 2;
+  ServeSession session(cfg);
+  ASSERT_EQ(session.handle_line("GEN g 1200 5000 7").rfind("OK", 0), 0u);
+  ASSERT_EQ(session.handle_line("CLUSTER g sync").rfind("OK", 0), 0u);
+
+  // The newest CLUSTER's job.run span, then a level.setup span under it
+  // for every level the run swept (level 0 included).
+  const auto events = obs::FlightRecorder::instance().snapshot();
+  std::uint64_t cluster_trace = 0;
+  for (const auto& e : events) {
+    if (e.kind == obs::TraceKind::kBegin &&
+        std::string_view(e.name) == "CLUSTER") {
+      cluster_trace = e.trace_id;
+    }
+  }
+  ASSERT_NE(cluster_trace, 0u);
+  std::uint64_t run_span = 0;
+  for (const auto& e : events) {
+    if (e.trace_id == cluster_trace && std::string_view(e.name) == "job.run") {
+      run_span = e.span_id;
+    }
+  }
+  ASSERT_NE(run_span, 0u);
+  int setups = 0;
+  for (const auto& e : events) {
+    if (e.trace_id != cluster_trace ||
+        std::string_view(e.name) != "level.setup" ||
+        (e.kind != obs::TraceKind::kBegin &&
+         e.kind != obs::TraceKind::kComplete)) {
+      continue;
+    }
+    EXPECT_EQ(e.parent_id, run_span);
+    ++setups;
+  }
+  EXPECT_GE(setups, 1);
+
+  const std::string dump = session.handle_line("TRACE DUMP");
+  ASSERT_EQ(dump.rfind("OK format=chrome-trace", 0), 0u);
+  EXPECT_NE(dump.find("\"name\":\"level.setup\""), std::string::npos);
+}
+
 TEST(ServeSession, HandleLineStripsCarriageReturnAndTrailingWhitespace) {
   ServeSession session(test_config());
   ASSERT_EQ(session.handle_line("GEN g 300 1200 7\r").substr(0, 2), "OK");
