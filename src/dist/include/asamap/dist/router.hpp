@@ -55,6 +55,7 @@
 /// root span and every shard call is prefixed `TRACECTX <trace> <span>`,
 /// which the shard adopts — one connected cross-process span tree.
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -72,6 +73,7 @@
 #include "asamap/obs/window.hpp"
 #include "asamap/serve/handler.hpp"
 #include "asamap/serve/ops_surface.hpp"
+#include "asamap/serve/verbs.hpp"
 #include "asamap/support/histogram.hpp"
 
 namespace asamap::dist {
@@ -149,6 +151,8 @@ class Router : public serve::RequestHandler {
     std::vector<bool> ok;
     std::size_t ok_count = 0;
     [[nodiscard]] bool all_ok() const { return ok_count == ok.size(); }
+    /// The shards that did not answer, as `i,j,...`.
+    [[nodiscard]] std::string down_list() const;
   };
 
   struct VerbMetrics {
@@ -156,7 +160,7 @@ class Router : public serve::RequestHandler {
     const char* trace_name = "other";
   };
 
-  std::string dispatch(std::string_view line,
+  std::string dispatch(const serve::verbs::Verb& verb, std::string_view line,
                        const std::vector<std::string_view>& tokens);
 
   /// One call to shard `i` with retry/reconnect/breaker, TRACECTX-prefixed.
@@ -181,10 +185,11 @@ class Router : public serve::RequestHandler {
                           std::string_view line);
   std::string handle_summary(const std::vector<std::string_view>& tokens,
                              std::string_view line);
-  std::string handle_ingest(std::string_view verb,
+  std::string handle_ingest(const serve::verbs::Verb& verb,
                             const std::vector<std::string_view>& tokens,
                             std::string_view line);
-  std::string handle_cluster(const std::vector<std::string_view>& tokens);
+  std::string handle_cluster(const std::vector<std::string_view>& tokens,
+                             const serve::verbs::JobOptions& opts);
   std::string run_dist_cluster(const std::string& name);
   std::string handle_shards();
   std::string handle_stats();
@@ -211,11 +216,25 @@ class Router : public serve::RequestHandler {
   /// Last-known liveness from the up flags (no network).
   [[nodiscard]] obs::HealthInputs liveness_inputs() const;
 
+  /// Scatters a TOPK / SUMMARY (`verb`) and checks that every shard
+  /// answered a range partial of one version.  Returns the answer to give
+  /// instead when not (an error, a forwarded, degraded or stale answer),
+  /// else "" with the partials in `g` and their version.
+  std::string gather_partials(std::string_view verb, std::string_view line,
+                              const std::string& name, Gather& g,
+                              std::uint64_t& version);
+
   /// Stale/degraded fallback: answer `line` from the newest / any live
   /// replica and re-tag the response.
   std::string stale_fallback(std::string_view line, const std::string& name);
+  /// `shards_down` tags the answer when non-empty; `unreachable` is the
+  /// error text when no replica answers.
   std::string degraded_fallback(std::string_view line, const std::string& name,
-                                const Gather& gather);
+                                const std::string& shards_down,
+                                std::string_view unreachable);
+  /// observe_response() for every shard that answered `g`; returns the
+  /// first such shard.
+  std::size_t observe_gather(const Gather& g, const std::string& name);
 
   /// Vertex count for `name` (cached from ingest/SUMMARY responses; lazily
   /// fetched via a forwarded SUMMARY).  0 ⇒ unknown.
@@ -234,7 +253,9 @@ class Router : public serve::RequestHandler {
   serve::OpsSurface ops_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  std::unordered_map<std::string_view, VerbMetrics> verb_metrics_;
+  /// Indexed by serve::verbs::Id; a row the router does not serve counts
+  /// under verb="other", like an unknown verb.
+  std::array<VerbMetrics, serve::verbs::kCount> verb_metrics_;
   VerbMetrics other_verb_metrics_;
   obs::Histogram* request_seconds_ = nullptr;
   obs::Histogram* scatter_seconds_ = nullptr;
@@ -246,10 +267,8 @@ class Router : public serve::RequestHandler {
   obs::Gauge* fleet_up_ = nullptr;
   obs::Gauge* fleet_down_ = nullptr;
 
+  /// Every request line, empty ones included (STATS requests=).
   std::atomic<std::uint64_t> requests_{0};
-  std::atomic<std::uint64_t> retries_{0};
-  std::atomic<std::uint64_t> degraded_{0};
-  std::atomic<std::uint64_t> stale_{0};
 
   std::mutex state_mu_;  ///< guards vclock_ and graph_n_
   /// graph → per-shard last-seen snapshot version (0 = never seen).

@@ -64,6 +64,7 @@
 #include "asamap/obs/metrics.hpp"
 #include "asamap/serve/handler.hpp"
 #include "asamap/serve/session.hpp"
+#include "asamap/serve/verbs.hpp"
 
 namespace asamap::dist {
 
@@ -103,14 +104,11 @@ class ShardSession : public serve::RequestHandler {
   };
 
   std::string dispatch(std::string_view line);
-  std::string handle_shard(std::string_view line,
-                           const std::vector<std::string_view>& tokens);
-  std::string handle_tracectx(std::string_view line,
-                              const std::vector<std::string_view>& tokens);
-  std::string handle_ranged_read(std::string_view verb,
+  std::string handle_ranged_read(serve::verbs::Id verb,
                                  const std::vector<std::string_view>& tokens,
                                  std::string_view line);
-  std::string handle_dcluster(const std::vector<std::string_view>& tokens);
+  std::string handle_dcluster(const serve::verbs::Verb& verb,
+                              const std::vector<std::string_view>& tokens);
   /// Runs `fn` as a kInteractive job on the inner scheduler, synchronously.
   /// Returns an ERR line on rejection/failure, else `fn`'s response.
   std::string run_step(const char* label,

@@ -9,6 +9,7 @@
 #include "asamap/obs/envelope.hpp"
 #include "asamap/obs/tracing.hpp"
 #include "asamap/serve/protocol.hpp"
+#include "asamap/serve/verbs.hpp"
 #include "asamap/support/backoff.hpp"
 #include "asamap/support/timer.hpp"
 
@@ -50,13 +51,6 @@ const char* breaker_name(fault::CircuitBreaker::State s) {
   }
   return "?";
 }
-
-/// Verbs the router understands; everything else is either unsupported
-/// shard-local machinery (WAIT/CANCEL/DELTA/FAULTS) or unknown.
-constexpr std::string_view kRouterVerbs[] = {
-    "GEN",     "LOAD", "DROP",    "CLUSTER", "ADD_EDGE", "DEL_EDGE",
-    "APPLY",   "MEMBER", "SAME",  "TOPK",    "SUMMARY",  "SHARDS",
-    "STATS",   "METRICS", "HEALTH", "TRACE", "QUIT"};
 
 std::string verb_label(std::string_view verb) {
   return "verb=\"" + std::string(verb) + "\"";
@@ -129,15 +123,20 @@ Router::Router(const RouterConfig& config)
   // enumerates the full schema before any FLEET probe.
   fleet_up_ = &metrics_.gauge("asamap_fleet_shards_up");
   fleet_down_ = &metrics_.gauge("asamap_fleet_shards_down");
-  for (const std::string_view verb : kRouterVerbs) {
-    VerbMetrics vm;
-    vm.requests =
-        &metrics_.counter("asamap_router_requests_total", verb_label(verb));
-    vm.trace_name = verb.data();  // the literals above are NUL-terminated
-    verb_metrics_.emplace(verb, vm);
+  // A verb's rows share one series; the row names are NUL-terminated
+  // literals, so .data() doubles as the static trace-span name.
+  for (const serve::verbs::Verb& verb : serve::verbs::table()) {
+    if (!verb.served_by(serve::verbs::kRouter)) continue;
+    verb_metrics_[verb.index()] = {
+        &metrics_.counter("asamap_router_requests_total",
+                          verb_label(verb.name)),
+        verb.name.data()};
   }
   other_verb_metrics_.requests =
       &metrics_.counter("asamap_router_requests_total", verb_label("other"));
+  for (VerbMetrics& vm : verb_metrics_) {
+    if (vm.requests == nullptr) vm = other_verb_metrics_;
+  }
   request_seconds_ = &metrics_.histogram("asamap_router_request_seconds");
   scatter_seconds_ = &metrics_.histogram("asamap_router_scatter_seconds");
   shard_calls_total_ = &metrics_.counter("asamap_router_shard_calls_total");
@@ -197,7 +196,6 @@ bool Router::shard_call(std::size_t i, std::string_view line,
   for (int attempt = 0; attempt < config_.retry.max_attempts; ++attempt) {
     if (attempt > 0) {
       retries_total_->inc();
-      retries_.fetch_add(1, std::memory_order_relaxed);
       std::this_thread::sleep_for(backoff.next());
     }
     std::string resp;
@@ -325,61 +323,63 @@ std::string Router::handle_line(std::string_view raw) {
   const std::string_view line = trim_trailing_ws(raw);
   std::vector<std::string_view> tokens;
   tokenize_into(line, tokens);
-  if (tokens.empty()) return err("invalid_argument", "empty request");
-  const auto it = verb_metrics_.find(tokens[0]);
-  const VerbMetrics& vm =
-      it == verb_metrics_.end() ? other_verb_metrics_ : it->second;
+  serve::verbs::Resolved request =
+      serve::verbs::resolve(tokens, serve::verbs::kRouter);
+  if (tokens.empty()) return std::move(request.error);
+  const VerbMetrics& vm = request.verb != nullptr
+                              ? verb_metrics_[request.verb->index()]
+                              : other_verb_metrics_;
   vm.requests->inc();
   const support::WallTimer timer;
   std::string response;
   {
     obs::TraceSpan span(vm.trace_name, obs::TraceCat::kSession);
-    response = dispatch(line, tokens);
+    response = request.error.empty() ? dispatch(*request.verb, line, tokens)
+                                     : std::move(request.error);
   }
   request_seconds_->record_seconds(timer.seconds());
   if (starts_with(response, "ERR")) errors_total_->inc();
   return response;
 }
 
-std::string Router::dispatch(std::string_view line,
+std::string Router::dispatch(const serve::verbs::Verb& verb,
+                             std::string_view line,
                              const std::vector<std::string_view>& tokens) {
-  const std::string_view verb = tokens[0];
-  if (verb == "MEMBER") return handle_member(tokens, line);
-  if (verb == "SAME") return handle_same(tokens, line);
-  if (verb == "TOPK") return handle_topk(tokens, line);
-  if (verb == "SUMMARY") return handle_summary(tokens, line);
-  if (verb == "CLUSTER") return handle_cluster(tokens);
-  if (verb == "GEN" || verb == "LOAD" || verb == "DROP" ||
-      verb == "ADD_EDGE" || verb == "DEL_EDGE" || verb == "APPLY") {
-    return handle_ingest(verb, tokens, line);
+  using serve::verbs::Id;
+  switch (verb.id) {
+    case Id::kMember: return handle_member(tokens, line);
+    case Id::kSame: return handle_same(tokens, line);
+    case Id::kTopk: return handle_topk(tokens, line);
+    case Id::kSummary: return handle_summary(tokens, line);
+    case Id::kCluster:
+    case Id::kApply: {
+      serve::verbs::JobOptions opts;
+      if (std::string e = serve::verbs::parse_job_options(
+              verb, tokens, serve::verbs::kRouter, opts);
+          !e.empty()) {
+        return e;
+      }
+      if (verb.id == Id::kApply) return handle_ingest(verb, tokens, line);
+      return handle_cluster(tokens, opts);
+    }
+    case Id::kGen:
+    case Id::kLoad:
+    case Id::kDrop:
+    case Id::kAddEdge:
+    case Id::kDelEdge:
+      return handle_ingest(verb, tokens, line);
+    case Id::kShards: return handle_shards();
+    case Id::kStats: return handle_stats();
+    case Id::kMetricsFleet: return fleet_metrics(tokens);
+    case Id::kHealthFleet: return fleet_health();
+    case Id::kQuit: return "OK bye";
+    default:  // METRICS, METRICS WINDOW, HEALTH, TRACE
+      return ops_.handle(verb.id, tokens, liveness_inputs());
   }
-  if (verb == "SHARDS") return handle_shards();
-  if (verb == "STATS") return handle_stats();
-  if (verb == "METRICS" && tokens.size() >= 2 && tokens[1] == "FLEET") {
-    return fleet_metrics(tokens);
-  }
-  if (verb == "HEALTH" && tokens.size() == 2 && tokens[1] == "FLEET") {
-    return fleet_health();
-  }
-  if (serve::OpsSurface::handles(verb)) {
-    return ops_.handle(tokens, liveness_inputs());
-  }
-  if (verb == "QUIT") return "OK bye";
-  if (verb == "WAIT" || verb == "CANCEL" || verb == "DELTA" ||
-      verb == "FAULTS") {
-    return err("invalid_argument",
-               "verb '" + std::string(verb) +
-                   "' is shard-local; connect to a shard directly");
-  }
-  return err("invalid_argument",
-             "unknown command '" + std::string(verb) + "'");
 }
 
 std::string Router::handle_member(
     const std::vector<std::string_view>& tokens, std::string_view line) {
-  if (tokens.size() != 3) {
-    return err("invalid_argument", "usage: MEMBER <name> <vertex>");
-  }
   VertexId v = 0;
   if (!parse_num(tokens[2], v)) {
     return err("invalid_argument", "bad vertex id");
@@ -414,25 +414,11 @@ std::string Router::handle_member(
     }
   }
   // Owner down: exact failover to any live replica, labeled degraded.
-  std::string fwd;
-  const std::size_t idx = forward_any(line, fwd);
-  if (idx == kNoShard) {
-    return err("unavailable", "no shard available for MEMBER");
-  }
-  degraded_total_->inc();
-  degraded_.fetch_add(1, std::memory_order_relaxed);
-  observe_response(idx, name, fwd);
-  if (starts_with(fwd, "OK")) {
-    fwd += " degraded=1 vclock=" + vclock_of(name);
-  }
-  return fwd;
+  return degraded_fallback(line, name, "", "no shard available for MEMBER");
 }
 
 std::string Router::handle_same(const std::vector<std::string_view>& tokens,
                                 std::string_view line) {
-  if (tokens.size() != 4) {
-    return err("invalid_argument", "usage: SAME <name> <u> <v>");
-  }
   VertexId u = 0, v = 0;
   if (!parse_num(tokens[2], u) || !parse_num(tokens[3], v)) {
     return err("invalid_argument", "bad vertex id");
@@ -471,18 +457,7 @@ std::string Router::handle_same(const std::vector<std::string_view>& tokens,
         if (starts_with(resp, "OK")) resp += " vclock=" + vclock_of(name);
         return resp;
       }
-      std::string fwd;
-      const std::size_t idx = forward_any(line, fwd);
-      if (idx == kNoShard) {
-        return err("unavailable", "no shard available for SAME");
-      }
-      degraded_total_->inc();
-      degraded_.fetch_add(1, std::memory_order_relaxed);
-      observe_response(idx, name, fwd);
-      if (starts_with(fwd, "OK")) {
-        fwd += " degraded=1 vclock=" + vclock_of(name);
-      }
-      return fwd;
+      return degraded_fallback(line, name, "", "no shard available for SAME");
     }
 
     // Cross-shard: one MEMBER leg per owner, composed here.
@@ -524,7 +499,6 @@ std::string Router::handle_same(const std::vector<std::string_view>& tokens,
     }
     if (degraded) {
       degraded_total_->inc();
-      degraded_.fetch_add(1, std::memory_order_relaxed);
     }
 
     std::string out;
@@ -532,7 +506,6 @@ std::string Router::handle_same(const std::vector<std::string_view>& tokens,
       out = "OK version=" + std::to_string(vu);
     } else {
       stale_total_->inc();
-      stale_.fetch_add(1, std::memory_order_relaxed);
       out = "OK STALE version=" + std::to_string(std::max(vu, vv));
     }
     out += " u=" + std::to_string(u) + " v=" + std::to_string(v) +
@@ -571,7 +544,6 @@ std::string Router::stale_fallback(std::string_view line,
   if (!starts_with(resp, "OK")) return resp;
   observe_response(responder, name, resp);
   stale_total_->inc();
-  stale_.fetch_add(1, std::memory_order_relaxed);
   std::string out = "OK STALE ";
   out += std::string_view(resp).substr(3);  // past "OK "
   out += " reason=version_skew vclock=" + vclock_of(name);
@@ -580,36 +552,45 @@ std::string Router::stale_fallback(std::string_view line,
 
 std::string Router::degraded_fallback(std::string_view line,
                                       const std::string& name,
-                                      const Gather& gather) {
+                                      const std::string& shards_down,
+                                      std::string_view unreachable) {
   std::string resp;
   const std::size_t idx = forward_any(line, resp);
-  if (idx == kNoShard) return err("unavailable", "no shard reachable");
+  if (idx == kNoShard) return err("unavailable", unreachable);
   degraded_total_->inc();
-  degraded_.fetch_add(1, std::memory_order_relaxed);
   observe_response(idx, name, resp);
   if (!starts_with(resp, "OK")) return resp;
+  resp += " degraded=1";
+  if (!shards_down.empty()) resp += " shards_down=" + shards_down;
+  return resp + " vclock=" + vclock_of(name);
+}
+
+std::string Router::Gather::down_list() const {
   std::string down;
-  for (std::size_t i = 0; i < gather.ok.size(); ++i) {
-    if (!gather.ok[i]) {
+  for (std::size_t i = 0; i < ok.size(); ++i) {
+    if (!ok[i]) {
       if (!down.empty()) down += ',';
       down += std::to_string(i);
     }
   }
-  resp += " degraded=1 shards_down=" + down + " vclock=" + vclock_of(name);
-  return resp;
+  return down;
 }
 
-std::string Router::handle_topk(const std::vector<std::string_view>& tokens,
-                                std::string_view line) {
-  if (tokens.size() != 3) {
-    return err("invalid_argument", "usage: TOPK <name> <k>");
+std::size_t Router::observe_gather(const Gather& g, const std::string& name) {
+  std::size_t first_ok = kNoShard;
+  for (std::size_t i = 0; i < g.ok.size(); ++i) {
+    if (!g.ok[i]) continue;
+    if (first_ok == kNoShard) first_ok = i;
+    observe_response(i, name, g.responses[i]);
   }
-  std::size_t k = 0;
-  if (!parse_num(tokens[2], k) || k == 0) {
-    return err("invalid_argument", "bad k");
-  }
-  const std::string name(tokens[1]);
-  Gather g = broadcast(line);
+  return first_ok;
+}
+
+std::string Router::gather_partials(std::string_view verb,
+                                    std::string_view line,
+                                    const std::string& name, Gather& g,
+                                    std::uint64_t& version) {
+  g = broadcast(line);
   if (g.ok_count == 0) return err("unavailable", "no shard reachable");
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     if (!g.ok[i]) continue;
@@ -625,20 +606,22 @@ std::string Router::handle_topk(const std::vector<std::string_view>& tokens,
     }
     if (starts_with(g.responses[i], "ERR")) return g.responses[i];
     if (field(g.responses[i], "range=").empty()) {
-      // A backend answering TOPK globally (a plain asamap_serve started
-      // without --shard-id) is not a range shard; merging its reply would
-      // silently drop its flows.  Refuse loudly — topology misconfiguration.
+      // A backend answering globally (a plain asamap_serve started without
+      // --shard-id) is not a range shard; merging its reply would drop its
+      // TOPK flows or double-count its SUMMARY vertices (and corrupt the
+      // cached vertex count).  Refuse loudly — topology misconfiguration.
       return err("misconfigured",
-                 "shard " + std::to_string(i) +
-                     " returned a non-partial TOPK reply; backend is not "
-                     "running with --shard-id/--shards");
+                 "shard " + std::to_string(i) + " returned a non-partial " +
+                     std::string(verb) +
+                     " reply; backend is not running with "
+                     "--shard-id/--shards");
     }
     observe_response(i, name, g.responses[i]);
   }
-  if (!g.all_ok()) return degraded_fallback(line, name, g);
-
+  if (!g.all_ok()) {
+    return degraded_fallback(line, name, g.down_list(), "no shard reachable");
+  }
   // All shards answered with range partials: check version coherence.
-  std::uint64_t version = 0;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     std::uint64_t vi = 0;
     parse_num(field(g.responses[i], "version="), vi);
@@ -647,6 +630,22 @@ std::string Router::handle_topk(const std::vector<std::string_view>& tokens,
     } else if (vi != version) {
       return stale_fallback(line, name);
     }
+  }
+  return {};
+}
+
+std::string Router::handle_topk(const std::vector<std::string_view>& tokens,
+                                std::string_view line) {
+  std::size_t k = 0;
+  if (!parse_num(tokens[2], k) || k == 0) {
+    return err("invalid_argument", "bad k");
+  }
+  const std::string name(tokens[1]);
+  Gather g;
+  std::uint64_t version = 0;
+  if (std::string answer = gather_partials("TOPK", line, name, g, version);
+      !answer.empty()) {
+    return answer;
   }
 
   // Merge: sum per-community partial flows in shard order (matches the
@@ -700,37 +699,16 @@ std::string Router::handle_topk(const std::vector<std::string_view>& tokens,
 
 std::string Router::handle_summary(
     const std::vector<std::string_view>& tokens, std::string_view line) {
-  if (tokens.size() != 2) {
-    return err("invalid_argument", "usage: SUMMARY <name>");
-  }
   const std::string name(tokens[1]);
-  Gather g = broadcast(line);
-  if (g.ok_count == 0) return err("unavailable", "no shard reachable");
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (!g.ok[i]) continue;
-    if (starts_with(g.responses[i], "ERR")) return g.responses[i];
-    if (field(g.responses[i], "range=").empty()) {
-      // Same guard as TOPK: a global SUMMARY from a non-shard backend
-      // would double-count vertices and corrupt the cached vertex count.
-      return err("misconfigured",
-                 "shard " + std::to_string(i) +
-                     " returned a non-partial SUMMARY reply; backend is "
-                     "not running with --shard-id/--shards");
-    }
-    observe_response(i, name, g.responses[i]);
-  }
-  if (!g.all_ok()) return degraded_fallback(line, name, g);
-
+  Gather g;
   std::uint64_t version = 0;
+  if (std::string answer =
+          gather_partials("SUMMARY", line, name, g, version);
+      !answer.empty()) {
+    return answer;
+  }
   std::uint64_t vertices = 0;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    std::uint64_t vi = 0;
-    parse_num(field(g.responses[i], "version="), vi);
-    if (i == 0) {
-      version = vi;
-    } else if (vi != version) {
-      return stale_fallback(line, name);
-    }
     std::uint64_t range_vertices = 0;
     parse_num(field(g.responses[i], "vertices="), range_vertices);
     vertices += range_vertices;  // ranges partition [0, n)
@@ -756,37 +734,20 @@ std::string Router::handle_summary(
   return out;
 }
 
-std::string Router::handle_ingest(std::string_view verb,
+std::string Router::handle_ingest(const serve::verbs::Verb& verb,
                                   const std::vector<std::string_view>& tokens,
                                   std::string_view line) {
-  if (tokens.size() < 2) {
-    return err("invalid_argument",
-               "usage: " + std::string(verb) + " <name> ...");
-  }
   const std::string name(tokens[1]);
   const Gather g = broadcast(line);
   if (g.ok_count == 0) return err("unavailable", "no shard reachable");
-  std::size_t first_ok = kNoShard;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (!g.ok[i]) continue;
-    if (first_ok == kNoShard) first_ok = i;
-    observe_response(i, name, g.responses[i]);
-  }
+  const std::size_t first_ok = observe_gather(g, name);
   if (!g.all_ok()) {
     // A replica missed a mutation: refuse rather than silently diverge
     // (reads would keep serving the old state everywhere anyway).
-    std::string down;
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      if (!g.ok[i]) {
-        if (!down.empty()) down += ',';
-        down += std::to_string(i);
-      }
-    }
-    return err("unavailable",
-               "replicated " + std::string(verb) +
-                   " incomplete; shards_down=" + down);
+    return err("unavailable", "replicated " + std::string(verb.name) +
+                                  " incomplete; shards_down=" + g.down_list());
   }
-  if (verb == "DROP") {
+  if (verb.id == serve::verbs::Id::kDrop) {
     std::lock_guard<std::mutex> lock(state_mu_);
     vclock_.erase(name);
     graph_n_.erase(name);
@@ -795,39 +756,29 @@ std::string Router::handle_ingest(std::string_view verb,
 }
 
 std::string Router::handle_cluster(
-    const std::vector<std::string_view>& tokens) {
-  if (tokens.size() < 2) {
-    return err("invalid_argument",
-               "usage: CLUSTER <name> [sync] [mode=dist] [...]");
-  }
+    const std::vector<std::string_view>& tokens,
+    const serve::verbs::JobOptions& opts) {
   const std::string name(tokens[1]);
-  bool dist_mode = false;
+  // The superstep protocol is synchronous and runs each step as an
+  // interactive job on every shard: priority= and deadline_ms= were
+  // validated and do not apply.
+  if (opts.dist) return run_dist_cluster(name);
   std::string replicated = "CLUSTER " + name + " sync";  // forced sync: every
   // replica must publish before the router answers, else reads skew.
   for (std::size_t i = 2; i < tokens.size(); ++i) {
-    if (tokens[i] == "mode=dist") {
-      dist_mode = true;
-    } else if (tokens[i] != "sync") {
+    if (tokens[i] != "sync") {
       replicated += ' ';
       replicated += tokens[i];
     }
   }
-  if (dist_mode) return run_dist_cluster(name);
 
   const Gather g = broadcast(replicated);
   if (g.ok_count == 0) return err("unavailable", "no shard reachable");
-  std::size_t first_ok = kNoShard;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (!g.ok[i]) continue;
-    if (first_ok == kNoShard) first_ok = i;
-    observe_response(i, name, g.responses[i]);
-  }
-  std::string out = g.responses[first_ok];
+  std::string out = g.responses[observe_gather(g, name)];
   if (!g.all_ok() && starts_with(out, "OK")) {
     // The replicas that answered did publish; the dead one will be skewed
     // when it returns — exactly what vclock/STALE reads are for.
     degraded_total_->inc();
-    degraded_.fetch_add(1, std::memory_order_relaxed);
     out += " degraded=1";
   }
   if (starts_with(out, "OK")) out += " vclock=" + vclock_of(name);
@@ -845,7 +796,8 @@ std::string Router::run_dist_cluster(const std::string& name) {
     return err("unavailable", "distributed cluster failed: " + why);
   };
   const auto all_ok = [](const Gather& g) {
-    if (!g.all_ok()) return false;
+    // A router with no shards has no replica to step.
+    if (g.ok_count == 0 || !g.all_ok()) return false;
     for (const std::string& r : g.responses) {
       if (!starts_with(r, "OK")) return false;
     }
@@ -963,9 +915,10 @@ std::string Router::handle_shards() {
 std::string Router::handle_stats() {
   return "OK shards=" + std::to_string(shards_.size()) +
          " requests=" + std::to_string(requests_.load()) +
-         " retries=" + std::to_string(retries_.load()) +
-         " degraded=" + std::to_string(degraded_.load()) +
-         " stale=" + std::to_string(stale_.load()) + ops_.stats_identity();
+         " retries=" + std::to_string(retries_total_->value()) +
+         " degraded=" + std::to_string(degraded_total_->value()) +
+         " stale=" + std::to_string(stale_total_->value()) +
+         ops_.stats_identity();
 }
 
 // --- observability plane (ISSUE 10) ----------------------------------------
@@ -1103,9 +1056,6 @@ bool Router::scrape_shard_metrics(std::size_t i,
 
 std::string Router::fleet_metrics(
     const std::vector<std::string_view>& tokens) {
-  if (tokens.size() > 3) {
-    return err("invalid_argument", "usage: METRICS FLEET [prom|json]");
-  }
   const std::string_view format = tokens.size() == 3 ? tokens[2] : "prom";
   if (format != "prom" && format != "prometheus" && format != "json") {
     return err("invalid_argument",

@@ -6,6 +6,7 @@
 #include "asamap/dist/distributed.hpp"
 #include "asamap/obs/tracing.hpp"
 #include "asamap/serve/protocol.hpp"
+#include "asamap/serve/verbs.hpp"
 #include "asamap/support/timer.hpp"
 
 namespace asamap::dist {
@@ -89,46 +90,49 @@ std::string ShardSession::handle_line(std::string_view line) {
 std::string ShardSession::dispatch(std::string_view line) {
   std::vector<std::string_view> tokens;
   tokenize_into(line, tokens);
-  if (tokens.empty()) return inner_.handle_line(line);
-  const std::string_view verb = tokens[0];
-  if (verb == "TRACECTX") return handle_tracectx(line, tokens);
-  if (verb == "SHARD") return handle_shard(line, tokens);
-  if (verb == "DCLUSTER") return handle_dcluster(tokens);
-  if (verb == "MEMBER" || verb == "SAME" || verb == "TOPK" ||
-      verb == "SUMMARY") {
-    return handle_ranged_read(verb, tokens, line);
+  const serve::verbs::Resolved request =
+      serve::verbs::resolve(tokens, serve::verbs::kShard);
+  // The inner session answers what the shard does not serve, and the
+  // malformed forms of the reads both serve, so its request and error
+  // counters see them as they would without the shard.
+  if (request.verb == nullptr ||
+      !request.verb->served_by(serve::verbs::kShard) ||
+      (!request.error.empty() &&
+       request.verb->served_by(serve::verbs::kSession))) {
+    return inner_.handle_line(line);
   }
-  return inner_.handle_line(line);
-}
-
-std::string ShardSession::handle_tracectx(
-    std::string_view line, const std::vector<std::string_view>& tokens) {
-  std::uint64_t trace_id = 0;
-  std::uint64_t span_id = 0;
-  if (tokens.size() < 4 || !parse_num(tokens[1], trace_id) ||
-      !parse_num(tokens[2], span_id)) {
-    return err("invalid_argument", "usage: TRACECTX <trace> <span> <line>");
+  if (!request.error.empty()) return request.error;
+  const serve::verbs::Verb& verb = *request.verb;
+  switch (verb.id) {
+    case serve::verbs::Id::kTracectx: {
+      std::uint64_t trace_id = 0;
+      std::uint64_t span_id = 0;
+      if (!parse_num(tokens[1], trace_id) || !parse_num(tokens[2], span_id)) {
+        return serve::verbs::usage_error(verb);
+      }
+      // Adopt the router's identity: spans recorded while handling the
+      // inner line (including scheduler hops) parent under the router's
+      // span, so a merged TRACE DUMP from both processes renders one
+      // connected tree.
+      obs::TraceScope scope(obs::TraceContext{trace_id, span_id});
+      obs::TraceSpan span("shard.request", obs::TraceCat::kSession);
+      return dispatch(line_tail(line, tokens, 3));
+    }
+    case serve::verbs::Id::kShardInfo:
+      return "OK shard=" + std::to_string(config_.shard_id) +
+             " shards=" + std::to_string(config_.shards);
+    case serve::verbs::Id::kShardForward:
+      forwards_total_->inc();
+      // Failover path: answer from the full replica, range checks waived.
+      return inner_.handle_line(line_tail(line, tokens, 2));
+    case serve::verbs::Id::kMember:
+    case serve::verbs::Id::kSame:
+    case serve::verbs::Id::kTopk:
+    case serve::verbs::Id::kSummary:
+      return handle_ranged_read(verb.id, tokens, line);
+    default:  // DCLUSTER <op>
+      return handle_dcluster(verb, tokens);
   }
-  // Adopt the router's identity: spans recorded while handling the inner
-  // line (including scheduler hops) parent under the router's span, so a
-  // merged TRACE DUMP from both processes renders one connected tree.
-  obs::TraceScope scope(obs::TraceContext{trace_id, span_id});
-  obs::TraceSpan span("shard.request", obs::TraceCat::kSession);
-  return dispatch(line_tail(line, tokens, 3));
-}
-
-std::string ShardSession::handle_shard(
-    std::string_view line, const std::vector<std::string_view>& tokens) {
-  if (tokens.size() >= 2 && tokens[1] == "INFO") {
-    return "OK shard=" + std::to_string(config_.shard_id) +
-           " shards=" + std::to_string(config_.shards);
-  }
-  if (tokens.size() >= 3 && tokens[1] == "FORWARD") {
-    forwards_total_->inc();
-    // Failover path: answer from the full replica, range checks waived.
-    return inner_.handle_line(line_tail(line, tokens, 2));
-  }
-  return err("invalid_argument", "usage: SHARD INFO | SHARD FORWARD <line>");
 }
 
 std::shared_ptr<const ShardSession::RangeView> ShardSession::range_view(
@@ -161,22 +165,18 @@ std::shared_ptr<const ShardSession::RangeView> ShardSession::range_view(
 }
 
 std::string ShardSession::handle_ranged_read(
-    std::string_view verb, const std::vector<std::string_view>& tokens,
+    serve::verbs::Id verb, const std::vector<std::string_view>& tokens,
     std::string_view line) {
-  // Malformed requests and graphs without a snapshot fall through to the
-  // inner session, whose error texts are the canonical ones.
-  if (tokens.size() < 2) return inner_.handle_line(line);
+  // Bad arguments and graphs without a snapshot fall through to the inner
+  // session, whose error texts are the canonical ones.
   const std::string name(tokens[1]);
 
-  if (verb == "MEMBER" || verb == "SAME") {
+  if (verb == serve::verbs::Id::kMember || verb == serve::verbs::Id::kSame) {
     const serve::PartitionStore::SnapshotPtr snap = inner_.snapshot(name);
     if (!snap) return inner_.handle_line(line);
     const auto n = static_cast<VertexId>(snap->communities.size());
     const auto ranges = make_ranges(n, config_.shards);
-    const std::size_t first_vertex_token = 2;
-    const std::size_t expect = verb == "MEMBER" ? 3 : 4;
-    if (tokens.size() != expect) return inner_.handle_line(line);
-    for (std::size_t i = first_vertex_token; i < expect; ++i) {
+    for (std::size_t i = 2; i < tokens.size(); ++i) {
       VertexId v = 0;
       if (!parse_num(tokens[i], v)) return inner_.handle_line(line);
       if (v >= n) return inner_.handle_line(line);  // inner's range error
@@ -192,11 +192,9 @@ std::string ShardSession::handle_ranged_read(
     return inner_.handle_line(line);
   }
 
-  if (verb == "TOPK") {
+  if (verb == serve::verbs::Id::kTopk) {
     std::size_t k = 0;
-    if (tokens.size() != 3 || !parse_num(tokens[2], k) || k == 0) {
-      return inner_.handle_line(line);
-    }
+    if (!parse_num(tokens[2], k) || k == 0) return inner_.handle_line(line);
     const std::shared_ptr<const RangeView> rv = range_view(name);
     if (!rv) return inner_.handle_line(line);
     if (rv->partial_flow.size() > kMaxPartialCommunities) {
@@ -222,7 +220,6 @@ std::string ShardSession::handle_ranged_read(
   }
 
   // SUMMARY
-  if (tokens.size() != 2) return inner_.handle_line(line);
   const std::shared_ptr<const RangeView> rv = range_view(name);
   if (!rv) return inner_.handle_line(line);
   const auto& snap = *rv->snap;
@@ -262,20 +259,16 @@ std::string ShardSession::run_step(const char* label,
 }
 
 std::string ShardSession::handle_dcluster(
+    const serve::verbs::Verb& verb,
     const std::vector<std::string_view>& tokens) {
-  if (tokens.size() < 3) {
-    return err("invalid_argument",
-               "usage: DCLUSTER BEGIN|PROPOSE|APPLY|LEVEL|COMMIT|ABORT "
-               "<graph> [...]");
-  }
-  const std::string_view op = tokens[1];
+  using serve::verbs::Id;
   const std::string name(tokens[2]);
   dcluster_steps_total_->inc();
   const support::WallTimer timer;
   std::lock_guard<std::mutex> lock(dc_mu_);
 
   std::string response;
-  if (op == "BEGIN") {
+  if (verb.id == Id::kDclusterBegin) {
     auto graph = inner_.registry().get(name);
     if (!graph) {
       return err("not_found", "unknown graph '" + name + "'");
@@ -296,92 +289,93 @@ std::string ShardSession::handle_dcluster(
       return err("not_found", "no dcluster in progress for '" + name + "'");
     }
     DclusterState& dc = *it->second;
-
-    if (op == "PROPOSE") {
-      response = run_step("propose", [&]() -> std::string {
-        const core::LevelSweep lv = dc.run.current();
-        std::vector<VertexId> movers;
-        dc.steps.propose(lv,
-                         range_of(lv.fn.num_nodes(), config_.shard_id,
-                                  config_.shards),
-                         0, movers);
-        std::string list;
-        for (const VertexId v : movers) {
-          if (!list.empty()) list += ',';
-          list += std::to_string(v);
-        }
-        return "OK movers=" + std::to_string(movers.size()) +
-               " list=" + (list.empty() ? "-" : list);
-      });
-    } else if (op == "APPLY") {
-      // `more` marks a non-final chunk of the superstep's mover list: apply
-      // its moves now, but defer recompute and the active-set swap to the
-      // final chunk — chunked APPLY is bitwise identical to one big list
-      // while keeping every frame under the 16 MiB cap.
-      const bool more = tokens.size() == 5 && tokens[4] == "more";
-      if (tokens.size() != 4 && !more) {
-        return err("invalid_argument",
-                   "usage: DCLUSTER APPLY <graph> <list> [more]");
-      }
-      // The router concatenates every shard's movers in shard order; each
-      // replica applies the full list identically, so all replicas hold
-      // the same module state without shipping aggregates.
-      std::vector<VertexId> movers;
-      if (tokens[3] != "-") {
-        std::string_view list = tokens[3];
-        while (!list.empty()) {
-          const std::size_t comma = list.find(',');
-          const std::string_view tok = list.substr(0, comma);
-          VertexId v = 0;
-          if (!parse_num(tok, v) || v >= dc.run.network().num_nodes()) {
-            return err("invalid_argument", "bad mover list");
+    switch (verb.id) {
+      case Id::kDclusterPropose:
+        response = run_step("propose", [&]() -> std::string {
+          const core::LevelSweep lv = dc.run.current();
+          std::vector<VertexId> movers;
+          dc.steps.propose(lv,
+                           range_of(lv.fn.num_nodes(), config_.shard_id,
+                                    config_.shards),
+                           0, movers);
+          std::string list;
+          for (const VertexId v : movers) {
+            if (!list.empty()) list += ',';
+            list += std::to_string(v);
           }
-          movers.push_back(v);
-          list = comma == std::string_view::npos ? std::string_view{}
-                                                 : list.substr(comma + 1);
+          return "OK movers=" + std::to_string(movers.size()) +
+                 " list=" + (list.empty() ? "-" : list);
+        });
+        break;
+      case Id::kDclusterApply: {
+        // `more` marks a non-final chunk of the superstep's mover list: apply
+        // its moves now, but defer recompute and the active-set swap to the
+        // final chunk — chunked APPLY is bitwise identical to one big list
+        // while keeping every frame under the 16 MiB cap.
+        const bool more = tokens.size() == 5;
+        if (more && tokens[4] != "more") return serve::verbs::usage_error(verb);
+        // The router concatenates every shard's movers in shard order; each
+        // replica applies the full list identically, so all replicas hold
+        // the same module state without shipping aggregates.
+        std::vector<VertexId> movers;
+        if (tokens[3] != "-") {
+          std::string_view list = tokens[3];
+          while (!list.empty()) {
+            const std::size_t comma = list.find(',');
+            const std::string_view tok = list.substr(0, comma);
+            VertexId v = 0;
+            if (!parse_num(tok, v) || v >= dc.run.network().num_nodes()) {
+              return err("invalid_argument", "bad mover list");
+            }
+            movers.push_back(v);
+            list = comma == std::string_view::npos ? std::string_view{}
+                                                   : list.substr(comma + 1);
+          }
         }
+        response = run_step("apply", [&]() -> std::string {
+          dc.pending_applied += dc.steps.apply(dc.run.current(), movers);
+          if (more) {
+            return "OK more=1 applied=" + std::to_string(dc.pending_applied);
+          }
+          const std::size_t applied = dc.pending_applied;
+          dc.pending_applied = 0;
+          dc.steps.end_superstep(dc.run.state());
+          return "OK applied=" + std::to_string(applied) + " codelength=" +
+                 fmt_double(dc.run.state().codelength(), kExactDigits);
+        });
+        break;
       }
-      response = run_step("apply", [&]() -> std::string {
-        dc.pending_applied += dc.steps.apply(dc.run.current(), movers);
-        if (more) {
-          return "OK more=1 applied=" + std::to_string(dc.pending_applied);
-        }
-        const std::size_t applied = dc.pending_applied;
-        dc.pending_applied = 0;
-        dc.steps.end_superstep(dc.run.state());
-        return "OK applied=" + std::to_string(applied) + " codelength=" +
-               fmt_double(dc.run.state().codelength(), kExactDigits);
-      });
-    } else if (op == "LEVEL") {
-      response = run_step("level", [&]() -> std::string {
-        if (!dc.run.end_level(1)) {
-          return "OK done=1 communities=" +
-                 std::to_string(dc.run.level_communities());
-        }
-        dc.begin_level();
-        return "OK done=0 n=" + std::to_string(dc.run.network().num_nodes()) +
-               " codelength=" +
-               fmt_double(dc.run.state().codelength(), kExactDigits);
-      });
-    } else if (op == "COMMIT") {
-      bool finished = false;
-      response = run_step("commit", [&]() -> std::string {
-        finished = true;  // finish() ends the run even if publishing fails
-        const core::InfomapResult result = dc.run.finish(dc.steps);
-        const std::uint64_t version =
-            inner_.store().publish(name,
-                                   serve::make_snapshot(dc.graph, result));
-        return "OK version=" + std::to_string(version) +
-               " communities=" + std::to_string(result.num_communities) +
-               " codelength=" + fmt_double(result.codelength, kExactDigits);
-      });
-      if (finished) dcluster_.erase(name);
-    } else if (op == "ABORT") {
-      dcluster_.erase(name);
-      response = "OK aborted=" + name;
-    } else {
-      return err("invalid_argument",
-                 "unknown DCLUSTER op '" + std::string(op) + "'");
+      case Id::kDclusterLevel:
+        response = run_step("level", [&]() -> std::string {
+          if (!dc.run.end_level(1)) {
+            return "OK done=1 communities=" +
+                   std::to_string(dc.run.level_communities());
+          }
+          dc.begin_level();
+          return "OK done=0 n=" + std::to_string(dc.run.network().num_nodes()) +
+                 " codelength=" +
+                 fmt_double(dc.run.state().codelength(), kExactDigits);
+        });
+        break;
+      case Id::kDclusterCommit: {
+        bool finished = false;
+        response = run_step("commit", [&]() -> std::string {
+          finished = true;  // finish() ends the run even if publishing fails
+          const core::InfomapResult result = dc.run.finish(dc.steps);
+          const std::uint64_t version =
+              inner_.store().publish(name,
+                                     serve::make_snapshot(dc.graph, result));
+          return "OK version=" + std::to_string(version) +
+                 " communities=" + std::to_string(result.num_communities) +
+                 " codelength=" + fmt_double(result.codelength, kExactDigits);
+        });
+        if (finished) dcluster_.erase(name);
+        break;
+      }
+      default:  // ABORT
+        dcluster_.erase(name);
+        response = "OK aborted=" + name;
+        break;
     }
   }
   dcluster_step_seconds_->record_seconds(timer.seconds());

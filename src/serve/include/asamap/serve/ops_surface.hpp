@@ -25,6 +25,7 @@
 #include "asamap/obs/health.hpp"
 #include "asamap/obs/metrics.hpp"
 #include "asamap/obs/window.hpp"
+#include "asamap/serve/verbs.hpp"
 
 namespace asamap::serve {
 
@@ -36,14 +37,12 @@ class OpsSurface {
   OpsSurface(obs::MetricRegistry& metrics, obs::WindowStore& window,
              obs::HealthTracker& health, std::string prefix);
 
-  /// True for the verbs handle() answers: METRICS, HEALTH, TRACE.
-  [[nodiscard]] static bool handles(std::string_view verb) noexcept;
-
-  /// Answers one METRICS / HEALTH / TRACE request (`tokens[0]` is the
-  /// verb).  `liveness` feeds HEALTH's shards SLO — a router's last-known
-  /// shard view; the default (no shards) leaves that SLO out.
+  /// Answers one METRICS / METRICS WINDOW / HEALTH / TRACE request that
+  /// verbs::resolve() matched to `verb` (arity already checked).
+  /// `liveness` feeds HEALTH's shards SLO — a router's last-known shard
+  /// view; the default (no shards) leaves that SLO out.
   [[nodiscard]] std::string handle(
-      const std::vector<std::string_view>& tokens,
+      verbs::Id verb, const std::vector<std::string_view>& tokens,
       const obs::HealthInputs& liveness = {});
 
   /// The STATS build-identity suffix, leading space included:
@@ -65,7 +64,6 @@ class OpsSurface {
   std::string metrics(std::string_view format);
   std::string window(std::string_view format);
   std::string health(const obs::HealthInputs& liveness);
-  static std::string trace(const std::vector<std::string_view>& tokens);
 
   obs::MetricRegistry& metrics_;
   obs::WindowStore& window_;

@@ -7,30 +7,9 @@
 /// asamap_serve driver and scripted sessions).
 ///
 /// Line protocol — one request line in, one response line out.  Responses
-/// start with `OK` or `ERR <code>`; fields are `key=value` tokens.
-///
-///   GEN <name> <n> <edges> [seed]        generate a Chung-Lu graph
-///   LOAD <name> <path> [directed]        ingest a SNAP file
-///   DROP <name>                          remove graph + snapshot + deltas
-///   CLUSTER <name> [sync] [priority=interactive|batch] [deadline_ms=N]
-///   ADD_EDGE <name> <u> <v> [w]          append an edge mutation (w > 0)
-///   DEL_EDGE <name> <u> <v>              append an edge deletion
-///   APPLY <name> [recluster=full|incr] [sync] [priority=...] [deadline_ms=N]
-///   DELTA STATUS <name>                  pending-mutation counters
-///   WAIT <job>                           block until the job is terminal
-///   CANCEL <job>                         request cancellation
-///   MEMBER <name> <v>                    community of one vertex
-///   SAME <name> <u> <v>                  same-community check
-///   TOPK <name> <k>                      top-k communities by flow
-///   SUMMARY <name>                       codelength/modularity summary
-///   STATS                                registry + scheduler counters
-///                                        (+ uptime= rev= build= accumulator=)
-///   METRICS [prom|json]                  scrape the session metric registry
-///   METRICS WINDOW [prom|json]           windowed rates + rolling quantiles
-///   HEALTH                               SLO evaluation (see below)
-///   TRACE DUMP | STATUS | MARK <label>   flight-recorder export / status
-///   FAULTS LOAD <path> | CLEAR | STATUS  chaos-test fault plans (see below)
-///   QUIT                                 acknowledged; driver exits
+/// start with `OK` or `ERR <code>`; fields are `key=value` tokens.  Every
+/// request form, with its arguments, is a row of the verb table
+/// (verbs.hpp); docs/OPERATIONS.md says what each one answers.
 ///
 /// METRICS (plain and WINDOW forms), HEALTH, and TRACE DUMP are the
 /// multi-line responses.  They are self-describing: an
@@ -80,6 +59,7 @@
 /// also auto-triggers when pending reaches delta_compact_threshold.
 /// Re-ingesting or dropping a name discards its pending deltas.
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -102,6 +82,7 @@
 #include "asamap/serve/ops_surface.hpp"
 #include "asamap/serve/partition_store.hpp"
 #include "asamap/serve/status.hpp"
+#include "asamap/serve/verbs.hpp"
 
 namespace asamap::serve {
 
@@ -284,8 +265,15 @@ class ServeSession : public RequestHandler {
   };
   using DeltaStatePtr = std::shared_ptr<DeltaState>;
 
-  std::string handle_line_impl(std::string_view verb,
+  std::string handle_line_impl(const verbs::Resolved& request,
                                const std::vector<std::string_view>& tokens);
+  /// The `session.io` injection site (chaos builds): sleeps through a
+  /// latency fault; any other fault is returned as the request's answer.
+  std::string io_fault();
+  /// The GEN / LOAD answer for `status`.
+  std::string ingested(const std::string& name, const ServeStatus& status);
+  /// ` version=V communities=C codelength=L` of a sync CLUSTER / APPLY.
+  static std::string snapshot_fields(const PartitionSnapshot& snap);
 
   /// One-entry snapshot memo for a batch's contiguous read run: while the
   /// run keeps naming the same graph, every read reuses this SnapshotPtr
@@ -300,7 +288,7 @@ class ServeSession : public RequestHandler {
   /// The one implementation of the four read verbs, shared by
   /// handle_line_impl (cache == nullptr: acquire per call) and handle_batch
   /// (cache != nullptr) so the two paths cannot drift apart.
-  std::string handle_read(std::string_view verb,
+  std::string handle_read(verbs::Id verb,
                           const std::vector<std::string_view>& tokens,
                           SnapshotCache* cache);
 
@@ -353,7 +341,9 @@ class ServeSession : public RequestHandler {
   obs::HealthTracker health_;
   /// METRICS / HEALTH / TRACE and the STATS identity over the three above.
   OpsSurface ops_;
-  std::unordered_map<std::string_view, VerbMetrics> verb_metrics_;
+  /// Indexed by verbs::Id; a row the session does not serve counts under
+  /// verb="other", like an unknown verb.
+  std::array<VerbMetrics, verbs::kCount> verb_metrics_;
   VerbMetrics other_verb_metrics_;
   obs::Counter* errors_total_ = nullptr;
   obs::Counter* stale_serves_ = nullptr;

@@ -44,33 +44,49 @@ OpsSurface::OpsSurface(obs::MetricRegistry& metrics, obs::WindowStore& window,
   uptime_.set(obs::process_uptime_seconds());
 }
 
-bool OpsSurface::handles(std::string_view verb) noexcept {
-  return verb == "METRICS" || verb == "HEALTH" || verb == "TRACE";
-}
-
-std::string OpsSurface::handle(const std::vector<std::string_view>& tokens,
+std::string OpsSurface::handle(verbs::Id verb,
+                               const std::vector<std::string_view>& tokens,
                                const obs::HealthInputs& liveness) {
-  const std::string_view verb = tokens[0];
-  if (verb == "HEALTH") {
-    if (tokens.size() != 1) {
-      return err(ServeCode::kInvalidArgument, "usage: HEALTH");
+  obs::FlightRecorder& rec = obs::FlightRecorder::instance();
+  switch (verb) {
+    case verbs::Id::kMetrics:
+      return metrics(tokens.size() == 2 ? tokens[1] : "prom");
+    case verbs::Id::kMetricsWindow:
+      return window(tokens.size() == 3 ? tokens[2] : "prom");
+    case verbs::Id::kHealth:
+      return health(liveness);
+    case verbs::Id::kTraceDump: {
+      std::ostringstream out;
+      rec.write_chrome_json(out);  // one line, so transcripts stay parseable
+      return enveloped("chrome-trace", out.str());
     }
-    return health(liveness);
-  }
-  if (verb == "TRACE") return trace(tokens);
-  // METRICS
-  if (tokens.size() >= 2 && tokens[1] == "WINDOW") {
-    if (tokens.size() > 3) {
-      return err(ServeCode::kInvalidArgument,
-                 "usage: METRICS WINDOW [prom|json]");
+    case verbs::Id::kTraceStatus: {
+      const obs::TraceStats stats = rec.stats();
+      std::string out = "OK enabled=";
+      out += stats.enabled ? '1' : '0';
+      out += " rings=" + std::to_string(stats.rings) +
+             " capacity=" + std::to_string(stats.ring_capacity) +
+             " recorded=" + std::to_string(stats.recorded) +
+             " dropped=" + std::to_string(stats.dropped) +
+             " dropped_fraction=" + fmt_double(stats.dropped_fraction);
+      // The rings hold only the newest events; once most of the run has
+      // been overwritten a DUMP is a sliver, not a trace — say so here
+      // instead of letting the near-empty dump speak for itself.
+      if (stats.dropped_fraction > 0.5) out += " warning=ring_wrapped";
+      return out;
     }
-    return window(tokens.size() == 3 ? tokens[2] : "prom");
+    case verbs::Id::kTraceMark: {
+      std::string label(tokens[2]);
+      for (std::size_t i = 3; i < tokens.size(); ++i) {
+        label += ' ';
+        label += tokens[i];
+      }
+      rec.instant(rec.intern(label), obs::TraceCat::kUser);
+      return "OK marked=" + label;
+    }
+    default:
+      return err(ServeCode::kInvalidArgument, "not an ops verb");
   }
-  if (tokens.size() > 2) {
-    return err(ServeCode::kInvalidArgument,
-               "usage: METRICS [WINDOW] [prom|json]");
-  }
-  return metrics(tokens.size() == 2 ? tokens[1] : "prom");
 }
 
 std::string OpsSurface::stats_identity() {
@@ -146,53 +162,6 @@ std::string OpsSurface::health(const obs::HealthInputs& liveness) {
   out += '\n';
   out += payload;
   return out;
-}
-
-std::string OpsSurface::trace(const std::vector<std::string_view>& tokens) {
-  constexpr const char* kUsage =
-      "usage: TRACE DUMP | TRACE STATUS | TRACE MARK <label>";
-  if (tokens.size() < 2) return err(ServeCode::kInvalidArgument, kUsage);
-  const std::string_view sub = tokens[1];
-  obs::FlightRecorder& rec = obs::FlightRecorder::instance();
-  if (sub == "DUMP") {
-    if (tokens.size() != 2) {
-      return err(ServeCode::kInvalidArgument, "usage: TRACE DUMP");
-    }
-    std::ostringstream out;
-    rec.write_chrome_json(out);  // one line, so transcripts stay parseable
-    return enveloped("chrome-trace", out.str());
-  }
-  if (sub == "STATUS") {
-    if (tokens.size() != 2) {
-      return err(ServeCode::kInvalidArgument, "usage: TRACE STATUS");
-    }
-    const obs::TraceStats stats = rec.stats();
-    std::string out = "OK enabled=";
-    out += stats.enabled ? '1' : '0';
-    out += " rings=" + std::to_string(stats.rings) +
-           " capacity=" + std::to_string(stats.ring_capacity) +
-           " recorded=" + std::to_string(stats.recorded) +
-           " dropped=" + std::to_string(stats.dropped) +
-           " dropped_fraction=" + fmt_double(stats.dropped_fraction);
-    // The rings hold only the newest events; once most of the run has
-    // been overwritten a DUMP is a sliver, not a trace — say so here
-    // instead of letting the near-empty dump speak for itself.
-    if (stats.dropped_fraction > 0.5) out += " warning=ring_wrapped";
-    return out;
-  }
-  if (sub == "MARK") {
-    if (tokens.size() < 3) {
-      return err(ServeCode::kInvalidArgument, "usage: TRACE MARK <label>");
-    }
-    std::string label(tokens[2]);
-    for (std::size_t i = 3; i < tokens.size(); ++i) {
-      label += ' ';
-      label += tokens[i];
-    }
-    rec.instant(rec.intern(label), obs::TraceCat::kUser);
-    return "OK marked=" + label;
-  }
-  return err(ServeCode::kInvalidArgument, kUsage);
 }
 
 }  // namespace asamap::serve

@@ -20,23 +20,8 @@ using namespace protocol;
 
 namespace {
 
-/// Every protocol verb, for pre-registered per-verb metric handles.  The
-/// array provides stable storage for the string_view map keys; anything not
-/// listed here is counted under verb="other".
-constexpr std::string_view kVerbs[] = {
-    "GEN",     "LOAD",    "DROP",     "CLUSTER", "ADD_EDGE",
-    "DEL_EDGE", "APPLY",  "DELTA",    "WAIT",    "CANCEL",
-    "MEMBER",  "SAME",    "TOPK",     "SUMMARY", "STATS",
-    "METRICS", "HEALTH",  "TRACE",    "FAULTS",  "QUIT"};
-
 std::string verb_label(std::string_view verb) {
   return "verb=\"" + std::string(verb) + "\"";
-}
-
-/// The snapshot-lookup verbs eligible for the batched read fast path.
-bool is_read_verb(std::string_view verb) {
-  return verb == "MEMBER" || verb == "SAME" || verb == "TOPK" ||
-         verb == "SUMMARY";
 }
 
 /// The session's config copy with every subsystem pointed at the session
@@ -66,19 +51,23 @@ ServeSession::ServeSession(const SessionConfig& config)
               "asamap_breaker_state"),
       ops_(metrics_, window_, health_, "serve"),
       scheduler_(config_.scheduler) {
-  for (const std::string_view verb : kVerbs) {
-    const std::string label = verb_label(verb);
-    // kVerbs literals are NUL-terminated, so .data() doubles as the static
-    // trace-span name.
-    verb_metrics_[verb] = {
+  // A verb's rows share one series; the row names are NUL-terminated
+  // literals, so .data() doubles as the static trace-span name.
+  for (const verbs::Verb& verb : verbs::table()) {
+    if (!verb.served_by(verbs::kSession)) continue;
+    const std::string label = verb_label(verb.name);
+    verb_metrics_[verb.index()] = {
         &metrics_.counter("asamap_serve_requests_total", label),
         &metrics_.histogram("asamap_serve_request_seconds", label),
-        verb.data()};
+        verb.name.data()};
   }
   const std::string other = verb_label("other");
   other_verb_metrics_ = {
       &metrics_.counter("asamap_serve_requests_total", other),
       &metrics_.histogram("asamap_serve_request_seconds", other)};
+  for (VerbMetrics& vm : verb_metrics_) {
+    if (vm.requests == nullptr) vm = other_verb_metrics_;
+  }
   errors_total_ = &metrics_.counter("asamap_serve_errors_total");
   // Robustness metrics, pre-registered so the scrape schema is stable
   // whether or not any fault/degradation ever happens.
@@ -149,6 +138,10 @@ ServeStatus ServeSession::gen_chung_lu(const std::string& name,
   if (n == 0 || edges == 0) {
     return ServeStatus::error(ServeCode::kInvalidArgument,
                               "GEN requires n > 0 and edges > 0");
+  }
+  if (n < 2) {  // the generator's own precondition, which would throw
+    return ServeStatus::error(ServeCode::kInvalidArgument,
+                              "GEN requires n >= 2");
   }
   if (n > config_.registry.max_vertex_id) {
     return ServeStatus::error(
@@ -533,20 +526,46 @@ std::string ServeSession::degraded_cluster(const std::string& name,
          " codelength=" + fmt_double(snap->codelength);
 }
 
+std::string ServeSession::io_fault() {
+  const fault::FaultDecision fault =
+      fault::check(&faults_, fault::Site::kSessionIo);
+  if (fault.effect == fault::Effect::kLatency) {
+    std::this_thread::sleep_for(fault.latency);
+  } else if (fault.effect != fault::Effect::kNone) {
+    return err(ServeCode::kUnavailable, "injected session.io fault");
+  }
+  return {};
+}
+
+std::string ServeSession::ingested(const std::string& name,
+                                   const ServeStatus& status) {
+  if (!status.ok()) return err(status);
+  const auto g = registry_.get(name);
+  return "OK graph=" + name + " vertices=" +
+         std::to_string(g->num_vertices()) +
+         " arcs=" + std::to_string(g->num_arcs());
+}
+
+std::string ServeSession::snapshot_fields(const PartitionSnapshot& snap) {
+  return " version=" + std::to_string(snap.version) +
+         " communities=" + std::to_string(snap.num_communities) +
+         " codelength=" + fmt_double(snap.codelength);
+}
+
 std::string ServeSession::handle_line(std::string_view line) {
   support::WallTimer wall;
   std::vector<std::string_view> tokens;
   tokenize_into(trim_trailing_ws(line), tokens);
-  const std::string_view verb = tokens.empty() ? std::string_view{} : tokens[0];
-  const auto it = verb_metrics_.find(verb);
-  const VerbMetrics& vm =
-      it == verb_metrics_.end() ? other_verb_metrics_ : it->second;
+  const verbs::Resolved request = verbs::resolve(tokens, verbs::kSession);
+  const VerbMetrics& vm = request.verb != nullptr
+                              ? verb_metrics_[request.verb->index()]
+                              : other_verb_metrics_;
   std::string response;
   {
     // Root span of this request's trace: jobs submitted inside inherit the
     // context, so everything the verb triggers lands under one trace id.
     obs::TraceSpan span(vm.trace_name, obs::TraceCat::kSession);
-    response = handle_line_impl(verb, tokens);
+    response = handle_line_impl(request, tokens);
   }
   vm.requests->inc();
   vm.latency->record_seconds(wall.seconds());
@@ -562,16 +581,20 @@ void ServeSession::handle_batch(const std::vector<std::string_view>& lines,
   // Reused across calls on the same thread: the read fast path must not pay
   // a vector allocation per request.
   thread_local std::vector<std::string_view> tokens;
-  // Pipelined batches repeat the same verb run after run, so the per-verb
-  // metrics hash lookup is memoised on the previous verb.
-  std::string_view last_verb;
-  const VerbMetrics* last_vm = nullptr;
+  // Pipelined batches repeat the same verb run after run, so the verb-table
+  // lookup is memoised on the previous verb.
+  std::string_view last_name;
+  const verbs::Verb* last_verb = nullptr;
   for (const std::string_view raw : lines) {
     const std::string_view line = trim_trailing_ws(raw);
     tokenize_into(line, tokens);
-    const std::string_view verb =
+    const std::string_view name =
         tokens.empty() ? std::string_view{} : tokens[0];
-    if (!is_read_verb(verb)) {
+    if (name != last_name) {
+      last_name = name;
+      last_verb = verbs::find(name, verbs::kSession);
+    }
+    if (last_verb == nullptr || !last_verb->read) {
       // Non-read verbs take the full handle_line path (root span, metrics,
       // fault sites) and may publish or drop snapshots — reset the memo so
       // later reads in this batch observe what they changed.
@@ -582,22 +605,14 @@ void ServeSession::handle_batch(const std::vector<std::string_view>& lines,
     // Read fast path: no root trace span (the transport owns the batch
     // span), snapshot acquire memoised across the run.
     support::WallTimer wall;
-    if (verb != last_verb) {
-      last_vm = &verb_metrics_.find(verb)->second;
-      last_verb = verb;
-    }
-    const VerbMetrics& vm = *last_vm;
-    std::string response;
-    const fault::FaultDecision io_fault =
-        fault::check(&faults_, fault::Site::kSessionIo);
-    if (io_fault.effect != fault::Effect::kNone &&
-        io_fault.effect != fault::Effect::kLatency) {
-      response = err(ServeCode::kUnavailable, "injected session.io fault");
-    } else {
-      if (io_fault.effect == fault::Effect::kLatency) {
-        std::this_thread::sleep_for(io_fault.latency);
-      }
-      response = handle_read(verb, tokens, &cache);
+    const VerbMetrics& vm = verb_metrics_[last_verb->index()];
+    std::string response = io_fault();
+    if (response.empty()) {
+      verbs::Resolved request =
+          verbs::select(*last_verb, tokens, verbs::kSession);
+      response = request.error.empty()
+                     ? handle_read(last_verb->id, tokens, &cache)
+                     : std::move(request.error);
     }
     vm.requests->inc();
     vm.latency->record_seconds(wall.seconds());
@@ -607,327 +622,237 @@ void ServeSession::handle_batch(const std::vector<std::string_view>& lines,
 }
 
 std::string ServeSession::handle_line_impl(
-    std::string_view verb, const std::vector<std::string_view>& tokens) {
-  if (tokens.empty()) return err(ServeCode::kInvalidArgument, "empty request");
+    const verbs::Resolved& request,
+    const std::vector<std::string_view>& tokens) {
+  if (tokens.empty()) return request.error;
 
-  // `session.io` injection (chaos builds): the request itself hiccups.
-  // FAULTS is exempt so an operator can always inspect or CLEAR a plan.
-  if (verb != "FAULTS") {
-    const fault::FaultDecision io_fault =
-        fault::check(&faults_, fault::Site::kSessionIo);
-    if (io_fault.effect == fault::Effect::kLatency) {
-      std::this_thread::sleep_for(io_fault.latency);
-    } else if (io_fault.effect != fault::Effect::kNone) {
-      return err(ServeCode::kUnavailable, "injected session.io fault");
-    }
+  // FAULTS is exempt from `session.io` so an operator can always inspect
+  // or CLEAR a plan.
+  if (request.verb == nullptr || request.verb->name != "FAULTS") {
+    if (std::string fault = io_fault(); !fault.empty()) return fault;
   }
+  if (!request.error.empty()) return request.error;
 
-  if (verb == "GEN") {
-    if (tokens.size() < 4 || tokens.size() > 5) {
-      return err(ServeCode::kInvalidArgument,
-                 "usage: GEN <name> <n> <edges> [seed]");
-    }
-    graph::VertexId n = 0;
-    std::uint64_t edges = 0;
-    std::uint64_t seed = 42;
-    if (!parse_num(tokens[2], n) || !parse_num(tokens[3], edges) ||
-        (tokens.size() == 5 && !parse_num(tokens[4], seed))) {
-      return err(ServeCode::kInvalidArgument, "GEN: numeric argument expected");
-    }
-    const std::string name(tokens[1]);
-    const ServeStatus status = gen_chung_lu(name, n, edges, seed);
-    if (!status.ok()) return err(status);
-    const auto g = registry_.get(name);
-    return "OK graph=" + name + " vertices=" +
-           std::to_string(g->num_vertices()) +
-           " arcs=" + std::to_string(g->num_arcs());
-  }
-
-  if (verb == "LOAD") {
-    if (tokens.size() < 3 || tokens.size() > 4) {
-      return err(ServeCode::kInvalidArgument,
-                 "usage: LOAD <name> <path> [directed]");
-    }
-    const bool undirected = !(tokens.size() == 4 && tokens[3] == "directed");
-    const std::string name(tokens[1]);
-    const ServeStatus status =
-        load_file(name, std::string(tokens[2]), undirected);
-    if (!status.ok()) return err(status);
-    const auto g = registry_.get(name);
-    return "OK graph=" + name + " vertices=" +
-           std::to_string(g->num_vertices()) +
-           " arcs=" + std::to_string(g->num_arcs());
-  }
-
-  if (verb == "DROP") {
-    if (tokens.size() != 2) {
-      return err(ServeCode::kInvalidArgument, "usage: DROP <name>");
-    }
-    const std::string name(tokens[1]);
-    if (!drop(name)) {
-      return err(ServeCode::kNotFound, "unknown graph '" + name + "'");
-    }
-    return "OK dropped=" + name;
-  }
-
-  if (verb == "CLUSTER") {
-    if (tokens.size() < 2) {
-      return err(ServeCode::kInvalidArgument,
-                 "usage: CLUSTER <name> [sync] [priority=interactive|batch] "
-                 "[deadline_ms=N]");
-    }
-    const std::string name(tokens[1]);
-    bool sync = false;
-    JobPriority priority = JobPriority::kBatch;
-    std::chrono::milliseconds deadline{};
-    for (std::size_t i = 2; i < tokens.size(); ++i) {
-      const std::string_view opt = tokens[i];
-      if (opt == "sync") {
-        sync = true;
-      } else if (opt == "priority=interactive") {
-        priority = JobPriority::kInteractive;
-      } else if (opt == "priority=batch") {
-        priority = JobPriority::kBatch;
-      } else if (opt.rfind("deadline_ms=", 0) == 0) {
-        std::int64_t ms = 0;
-        if (!parse_num(opt.substr(12), ms) || ms < 0) {
-          return err(ServeCode::kInvalidArgument,
-                     "CLUSTER: bad deadline_ms value");
-        }
-        deadline = std::chrono::milliseconds(ms);
-      } else {
+  const verbs::Verb& verb = *request.verb;
+  switch (verb.id) {
+    case verbs::Id::kGen: {
+      graph::VertexId n = 0;
+      std::uint64_t edges = 0;
+      std::uint64_t seed = 42;
+      if (!parse_num(tokens[2], n) || !parse_num(tokens[3], edges) ||
+          (tokens.size() == 5 && !parse_num(tokens[4], seed))) {
         return err(ServeCode::kInvalidArgument,
-                   "CLUSTER: unknown option '" + std::string(opt) + "'");
+                   "GEN: numeric argument expected");
       }
+      const std::string name(tokens[1]);
+      return ingested(name, gen_chung_lu(name, n, edges, seed));
     }
-    // Graceful degradation: under memory pressure or an open breaker, a
-    // re-cluster would only add load — answer from the last published
-    // snapshot, explicitly marked STALE, instead of rejecting.
-    if (registry_.under_pressure()) {
-      if (auto stale = degraded_cluster(name, "memory_pressure");
-          !stale.empty()) {
-        return stale;
+
+    case verbs::Id::kLoad: {
+      const bool undirected = !(tokens.size() == 4 && tokens[3] == "directed");
+      const std::string name(tokens[1]);
+      return ingested(name,
+                      load_file(name, std::string(tokens[2]), undirected));
+    }
+
+    case verbs::Id::kDrop: {
+      const std::string name(tokens[1]);
+      if (!drop(name)) {
+        return err(ServeCode::kNotFound, "unknown graph '" + name + "'");
       }
-      // Never clustered: fall through and try anyway (best effort).
+      return "OK dropped=" + name;
     }
-    if (!breaker_.allow()) {
-      if (auto stale = degraded_cluster(name, "breaker_open"); !stale.empty()) {
-        return stale;
+
+    case verbs::Id::kCluster: {
+      verbs::JobOptions opts;
+      if (std::string e =
+              verbs::parse_job_options(verb, tokens, verbs::kSession, opts);
+          !e.empty()) {
+        return e;
       }
-      return err(ServeCode::kUnavailable,
-                 "circuit breaker open and no snapshot to degrade to");
-    }
-    const SubmitResult submitted = submit_recluster(name, priority, deadline);
-    if (!submitted.accepted()) {
-      if (submitted.status.code == ServeCode::kRejected ||
-          submitted.status.code == ServeCode::kShutdown) {
-        breaker_.record_failure();
-        if (auto stale = degraded_cluster(name, "queue_full"); !stale.empty()) {
+      const std::string name(tokens[1]);
+      // Graceful degradation: under memory pressure or an open breaker, a
+      // re-cluster would only add load — answer from the last published
+      // snapshot, explicitly marked STALE, instead of rejecting.
+      if (registry_.under_pressure()) {
+        if (auto stale = degraded_cluster(name, "memory_pressure");
+            !stale.empty()) {
           return stale;
         }
-      } else {
-        // Client-side failure (unknown graph): the service answered fine —
-        // resolve a half-open probe as success, not failure.
-        breaker_.record_success();
+        // Never clustered: fall through and try anyway (best effort).
       }
-      return err(submitted.status);
-    }
-    breaker_.record_success();
-    if (!sync) {
-      return "OK job=" + std::to_string(submitted.id) +
-             " state=" + to_string(scheduler_.state(submitted.id));
-    }
-    const JobState terminal = scheduler_.wait(submitted.id);
-    std::string out = "OK job=" + std::to_string(submitted.id) +
-                      " state=" + to_string(terminal);
-    if (terminal == JobState::kDone) {
-      if (const auto snap = store_.snapshot(name)) {
-        out += " version=" + std::to_string(snap->version) +
-               " communities=" + std::to_string(snap->num_communities) +
-               " codelength=" + fmt_double(snap->codelength);
-      }
-    }
-    return out;
-  }
-
-  if (verb == "ADD_EDGE" || verb == "DEL_EDGE") {
-    const bool is_add = verb == "ADD_EDGE";
-    const bool arity_ok = is_add ? tokens.size() == 4 || tokens.size() == 5
-                                 : tokens.size() == 4;
-    if (!arity_ok) {
-      return err(ServeCode::kInvalidArgument,
-                 is_add ? "usage: ADD_EDGE <name> <u> <v> [w]"
-                        : "usage: DEL_EDGE <name> <u> <v>");
-    }
-    graph::VertexId u = 0, v = 0;
-    double w = 1.0;
-    if (!parse_num(tokens[2], u) || !parse_num(tokens[3], v) ||
-        (tokens.size() == 5 && !parse_num(tokens[4], w))) {
-      return err(ServeCode::kInvalidArgument,
-                 std::string(verb) + ": numeric argument expected");
-    }
-    const std::string name(tokens[1]);
-    std::size_t pending = 0;
-    bool folded = false;
-    const ServeStatus status =
-        mutate_edge(name, u, v, w, is_add, &pending, &folded);
-    if (!status.ok()) return err(status);
-    std::string out = "OK graph=" + name + " op=";
-    out += is_add ? "add" : "del";
-    out += " u=" + std::to_string(u) + " v=" + std::to_string(v);
-    if (is_add) out += " w=" + fmt_double(w);
-    out += " pending=" + std::to_string(pending) + " folded=";
-    out += folded ? '1' : '0';
-    return out;
-  }
-
-  if (verb == "APPLY") {
-    if (tokens.size() < 2) {
-      return err(ServeCode::kInvalidArgument,
-                 "usage: APPLY <name> [recluster=full|incr] [sync] "
-                 "[priority=interactive|batch] [deadline_ms=N]");
-    }
-    const std::string name(tokens[1]);
-    bool incremental = true;
-    bool sync = false;
-    JobPriority priority = JobPriority::kBatch;
-    std::chrono::milliseconds deadline{};
-    for (std::size_t i = 2; i < tokens.size(); ++i) {
-      const std::string_view opt = tokens[i];
-      if (opt == "sync") {
-        sync = true;
-      } else if (opt == "recluster=incr") {
-        incremental = true;
-      } else if (opt == "recluster=full") {
-        incremental = false;
-      } else if (opt == "priority=interactive") {
-        priority = JobPriority::kInteractive;
-      } else if (opt == "priority=batch") {
-        priority = JobPriority::kBatch;
-      } else if (opt.rfind("deadline_ms=", 0) == 0) {
-        std::int64_t ms = 0;
-        if (!parse_num(opt.substr(12), ms) || ms < 0) {
-          return err(ServeCode::kInvalidArgument,
-                     "APPLY: bad deadline_ms value");
+      if (!breaker_.allow()) {
+        if (auto stale = degraded_cluster(name, "breaker_open");
+            !stale.empty()) {
+          return stale;
         }
-        deadline = std::chrono::milliseconds(ms);
-      } else {
+        return err(ServeCode::kUnavailable,
+                   "circuit breaker open and no snapshot to degrade to");
+      }
+      const SubmitResult submitted =
+          submit_recluster(name, opts.priority, opts.deadline);
+      if (!submitted.accepted()) {
+        if (submitted.status.code == ServeCode::kRejected ||
+            submitted.status.code == ServeCode::kShutdown) {
+          breaker_.record_failure();
+          if (auto stale = degraded_cluster(name, "queue_full");
+              !stale.empty()) {
+            return stale;
+          }
+        } else {
+          // Client-side failure (unknown graph): the service answered fine —
+          // resolve a half-open probe as success, not failure.
+          breaker_.record_success();
+        }
+        return err(submitted.status);
+      }
+      breaker_.record_success();
+      if (!opts.sync) {
+        return "OK job=" + std::to_string(submitted.id) +
+               " state=" + to_string(scheduler_.state(submitted.id));
+      }
+      const JobState terminal = scheduler_.wait(submitted.id);
+      std::string out = "OK job=" + std::to_string(submitted.id) +
+                        " state=" + to_string(terminal);
+      if (terminal == JobState::kDone) {
+        if (const auto snap = store_.snapshot(name)) {
+          out += snapshot_fields(*snap);
+        }
+      }
+      return out;
+    }
+
+    case verbs::Id::kAddEdge:
+    case verbs::Id::kDelEdge: {
+      const bool is_add = verb.id == verbs::Id::kAddEdge;
+      graph::VertexId u = 0, v = 0;
+      double w = 1.0;
+      if (!parse_num(tokens[2], u) || !parse_num(tokens[3], v) ||
+          (tokens.size() == 5 && !parse_num(tokens[4], w))) {
         return err(ServeCode::kInvalidArgument,
-                   "APPLY: unknown option '" + std::string(opt) + "'");
+                   std::string(verb.name) + ": numeric argument expected");
       }
+      const std::string name(tokens[1]);
+      std::size_t pending = 0;
+      bool folded = false;
+      const ServeStatus status =
+          mutate_edge(name, u, v, w, is_add, &pending, &folded);
+      if (!status.ok()) return err(status);
+      std::string out = "OK graph=" + name + " op=";
+      out += is_add ? "add" : "del";
+      out += " u=" + std::to_string(u) + " v=" + std::to_string(v);
+      if (is_add) out += " w=" + fmt_double(w);
+      out += " pending=" + std::to_string(pending) + " folded=";
+      out += folded ? '1' : '0';
+      return out;
     }
-    // `published=` in the sync answer compares snapshot versions across the
-    // job, not a flag out of the body — the observable truth.
-    const auto pre = store_.snapshot(name);
-    const std::uint64_t pre_version = pre ? pre->version : 0;
-    const SubmitResult submitted = submit_apply(name, incremental, priority,
-                                                deadline);
-    if (!submitted.accepted()) return err(submitted.status);
-    const char* mode = incremental ? "incr" : "full";
-    if (!sync) {
-      return "OK job=" + std::to_string(submitted.id) + " mode=" + mode +
-             " state=" + to_string(scheduler_.state(submitted.id));
-    }
-    const JobState terminal = scheduler_.wait(submitted.id);
-    std::string out = "OK job=" + std::to_string(submitted.id) +
-                      " mode=" + mode + " state=" + to_string(terminal);
-    if (terminal == JobState::kDone) {
-      const auto snap = store_.snapshot(name);
-      const bool published = snap && snap->version != pre_version;
-      out += " published=";
-      out += published ? '1' : '0';
-      if (snap) {
-        out += " version=" + std::to_string(snap->version) +
-               " communities=" + std::to_string(snap->num_communities) +
-               " codelength=" + fmt_double(snap->codelength);
-      }
-      if (!published) {
-        out += " reason=";
-        out += delta_status(name).last_skip;
-      }
-    }
-    return out;
-  }
 
-  if (verb == "DELTA") {
-    if (tokens.size() != 3 || tokens[1] != "STATUS") {
-      return err(ServeCode::kInvalidArgument, "usage: DELTA STATUS <name>");
+    case verbs::Id::kApply: {
+      verbs::JobOptions opts;
+      if (std::string e =
+              verbs::parse_job_options(verb, tokens, verbs::kSession, opts);
+          !e.empty()) {
+        return e;
+      }
+      const std::string name(tokens[1]);
+      // `published=` in the sync answer compares snapshot versions across
+      // the job, not a flag out of the body — the observable truth.
+      const auto pre = store_.snapshot(name);
+      const std::uint64_t pre_version = pre ? pre->version : 0;
+      const SubmitResult submitted = submit_apply(
+          name, opts.incremental, opts.priority, opts.deadline);
+      if (!submitted.accepted()) return err(submitted.status);
+      const char* mode = opts.incremental ? "incr" : "full";
+      if (!opts.sync) {
+        return "OK job=" + std::to_string(submitted.id) + " mode=" + mode +
+               " state=" + to_string(scheduler_.state(submitted.id));
+      }
+      const JobState terminal = scheduler_.wait(submitted.id);
+      std::string out = "OK job=" + std::to_string(submitted.id) +
+                        " mode=" + mode + " state=" + to_string(terminal);
+      if (terminal == JobState::kDone) {
+        const auto snap = store_.snapshot(name);
+        const bool published = snap && snap->version != pre_version;
+        out += " published=";
+        out += published ? '1' : '0';
+        if (snap) out += snapshot_fields(*snap);
+        if (!published) {
+          out += " reason=";
+          out += delta_status(name).last_skip;
+        }
+      }
+      return out;
     }
-    const std::string name(tokens[2]);
-    const DeltaStatus st = delta_status(name);
-    if (!st.known && !registry_.get(name)) {
-      return err(ServeCode::kNotFound, "unknown graph '" + name + "'");
-    }
-    std::string out = "OK graph=" + name +
-                      " pending=" + std::to_string(st.pending) +
-                      " adds=" + std::to_string(st.adds) +
-                      " dels=" + std::to_string(st.dels) +
-                      " compactions=" + std::to_string(st.compactions) +
-                      " last_batch=" + std::to_string(st.last_batch) +
-                      " applies_full=" + std::to_string(st.applies_full) +
-                      " applies_incr=" + std::to_string(st.applies_incr) +
-                      " incr_published=" + std::to_string(st.incr_published) +
-                      " incr_skipped=" + std::to_string(st.incr_skipped) +
-                      " last_skip=" + st.last_skip + " inflight=";
-    out += st.apply_inflight ? '1' : '0';
-    out += " apply_job=" + std::to_string(st.apply_job) + " pinned=";
-    out += st.pinned ? '1' : '0';
-    return out;
-  }
 
-  if (verb == "WAIT" || verb == "CANCEL") {
-    if (tokens.size() != 2) {
-      return err(ServeCode::kInvalidArgument,
-                 "usage: " + std::string(verb) + " <job>");
+    case verbs::Id::kDeltaStatus: {
+      const std::string name(tokens[2]);
+      const DeltaStatus st = delta_status(name);
+      if (!st.known && !registry_.get(name)) {
+        return err(ServeCode::kNotFound, "unknown graph '" + name + "'");
+      }
+      std::string out =
+          "OK graph=" + name + " pending=" + std::to_string(st.pending) +
+          " adds=" + std::to_string(st.adds) +
+          " dels=" + std::to_string(st.dels) +
+          " compactions=" + std::to_string(st.compactions) +
+          " last_batch=" + std::to_string(st.last_batch) +
+          " applies_full=" + std::to_string(st.applies_full) +
+          " applies_incr=" + std::to_string(st.applies_incr) +
+          " incr_published=" + std::to_string(st.incr_published) +
+          " incr_skipped=" + std::to_string(st.incr_skipped) +
+          " last_skip=" + st.last_skip + " inflight=";
+      out += st.apply_inflight ? '1' : '0';
+      out += " apply_job=" + std::to_string(st.apply_job) + " pinned=";
+      out += st.pinned ? '1' : '0';
+      return out;
     }
-    std::uint64_t id = 0;
-    if (!parse_num(tokens[1], id) || id == 0) {
-      return err(ServeCode::kInvalidArgument, "bad job id");
-    }
-    if (verb == "CANCEL") {
-      const bool accepted = scheduler_.cancel(id);
+
+    case verbs::Id::kWait:
+    case verbs::Id::kCancel: {
+      std::uint64_t id = 0;
+      if (!parse_num(tokens[1], id) || id == 0) {
+        return err(ServeCode::kInvalidArgument, "bad job id");
+      }
+      if (verb.id == verbs::Id::kCancel) {
+        const bool accepted = scheduler_.cancel(id);
+        return "OK job=" + std::to_string(id) +
+               " cancelled=" + (accepted ? "1" : "0") +
+               " state=" + to_string(scheduler_.state(id));
+      }
       return "OK job=" + std::to_string(id) +
-             " cancelled=" + (accepted ? "1" : "0") +
-             " state=" + to_string(scheduler_.state(id));
+             " state=" + to_string(scheduler_.wait(id));
     }
-    return "OK job=" + std::to_string(id) +
-           " state=" + to_string(scheduler_.wait(id));
-  }
 
-  if (is_read_verb(verb)) return handle_read(verb, tokens, nullptr);
+    case verbs::Id::kMember:
+    case verbs::Id::kSame:
+    case verbs::Id::kTopk:
+    case verbs::Id::kSummary:
+      return handle_read(verb.id, tokens, nullptr);
 
-  if (verb == "STATS") {
-    const RegistryStats reg = registry_.stats();
-    const SchedulerStats sch = scheduler_.stats();
-    return "OK graphs=" + std::to_string(reg.entries) +
-           " resident_bytes=" + std::to_string(reg.resident_bytes) +
-           " dedup_hits=" + std::to_string(reg.dedup_hits) +
-           " evictions=" + std::to_string(reg.evictions) +
-           " snapshots=" + std::to_string(store_.size()) +
-           " submitted=" + std::to_string(sch.submitted) +
-           " completed=" + std::to_string(sch.completed) +
-           " failed=" + std::to_string(sch.failed) +
-           " rejected=" + std::to_string(sch.rejected) +
-           " cancelled=" + std::to_string(sch.cancelled) +
-           " expired=" + std::to_string(sch.expired) +
-           " queued_interactive=" + std::to_string(sch.queued_interactive) +
-           " queued_batch=" + std::to_string(sch.queued_batch) +
-           " running=" + std::to_string(sch.running) +
-           " retries=" + std::to_string(reg.ingest_retries +
-                                        sch.dispatch_retries) +
-           " shed=" + std::to_string(sch.shed) + " breaker=" +
-           fault::to_string(breaker_.state()) + ops_.stats_identity();
-  }
+    case verbs::Id::kStats: {
+      const RegistryStats reg = registry_.stats();
+      const SchedulerStats sch = scheduler_.stats();
+      return "OK graphs=" + std::to_string(reg.entries) +
+             " resident_bytes=" + std::to_string(reg.resident_bytes) +
+             " dedup_hits=" + std::to_string(reg.dedup_hits) +
+             " evictions=" + std::to_string(reg.evictions) +
+             " snapshots=" + std::to_string(store_.size()) +
+             " submitted=" + std::to_string(sch.submitted) +
+             " completed=" + std::to_string(sch.completed) +
+             " failed=" + std::to_string(sch.failed) +
+             " rejected=" + std::to_string(sch.rejected) +
+             " cancelled=" + std::to_string(sch.cancelled) +
+             " expired=" + std::to_string(sch.expired) +
+             " queued_interactive=" + std::to_string(sch.queued_interactive) +
+             " queued_batch=" + std::to_string(sch.queued_batch) +
+             " running=" + std::to_string(sch.running) +
+             " retries=" +
+             std::to_string(reg.ingest_retries + sch.dispatch_retries) +
+             " shed=" + std::to_string(sch.shed) + " breaker=" +
+             fault::to_string(breaker_.state()) + ops_.stats_identity();
+    }
 
-  if (verb == "FAULTS") {
-    constexpr const char* kUsage =
-        "usage: FAULTS LOAD <path> | FAULTS CLEAR | FAULTS STATUS";
-    if (tokens.size() < 2) return err(ServeCode::kInvalidArgument, kUsage);
-    const std::string_view sub = tokens[1];
-    if (sub == "STATUS") {
-      if (tokens.size() != 2) {
-        return err(ServeCode::kInvalidArgument, "usage: FAULTS STATUS");
-      }
+    case verbs::Id::kFaultsStatus: {
       std::string out = "OK enabled=";
       out += fault::kFaultInjectionEnabled ? '1' : '0';
       out += " armed=";
@@ -938,22 +863,12 @@ std::string ServeSession::handle_line_impl(
       out += fault::to_string(breaker_.state());
       return out;
     }
-    if (!fault::kFaultInjectionEnabled) {
-      return err(ServeCode::kUnavailable,
-                 "fault injection compiled out; configure with "
-                 "-DASAMAP_FAULT_INJECTION=ON");
-    }
-    if (sub == "CLEAR") {
-      if (tokens.size() != 2) {
-        return err(ServeCode::kInvalidArgument, "usage: FAULTS CLEAR");
-      }
+
+    case verbs::Id::kFaultsClear:
       faults_.clear();
       return "OK armed=0";
-    }
-    if (sub == "LOAD") {
-      if (tokens.size() != 3) {
-        return err(ServeCode::kInvalidArgument, "usage: FAULTS LOAD <path>");
-      }
+
+    case verbs::Id::kFaultsLoad: {
       fault::PlanParseResult parsed =
           fault::load_fault_plan_file(std::string(tokens[2]));
       if (!parsed.ok()) {
@@ -970,19 +885,17 @@ std::string ServeSession::handle_line_impl(
       out += faults_.armed() ? '1' : '0';
       return out;
     }
-    return err(ServeCode::kInvalidArgument, kUsage);
+
+    case verbs::Id::kQuit:
+      return "OK bye";
+
+    default:  // METRICS, METRICS WINDOW, HEALTH, TRACE
+      return ops_.handle(verb.id, tokens);
   }
-
-  if (OpsSurface::handles(verb)) return ops_.handle(tokens);
-
-  if (verb == "QUIT") return "OK bye";
-
-  return err(ServeCode::kInvalidArgument,
-             "unknown command '" + std::string(verb) + "'");
 }
 
 std::string ServeSession::handle_read(
-    std::string_view verb, const std::vector<std::string_view>& tokens,
+    verbs::Id verb, const std::vector<std::string_view>& tokens,
     SnapshotCache* cache) {
   const auto need_snapshot =
       [&](std::string_view name,
@@ -1007,10 +920,7 @@ std::string ServeSession::handle_read(
                "graph '" + key + "' has no published partition; CLUSTER it");
   };
 
-  if (verb == "MEMBER") {
-    if (tokens.size() != 3) {
-      return err(ServeCode::kInvalidArgument, "usage: MEMBER <name> <vertex>");
-    }
+  if (verb == verbs::Id::kMember) {
     graph::VertexId v = 0;
     if (!parse_num(tokens[2], v)) {
       return err(ServeCode::kInvalidArgument, "bad vertex id");
@@ -1030,10 +940,7 @@ std::string ServeSession::handle_read(
            " flow=" + fmt_double(snap->community_flow[c]);
   }
 
-  if (verb == "SAME") {
-    if (tokens.size() != 4) {
-      return err(ServeCode::kInvalidArgument, "usage: SAME <name> <u> <v>");
-    }
+  if (verb == verbs::Id::kSame) {
     graph::VertexId u = 0, v = 0;
     if (!parse_num(tokens[2], u) || !parse_num(tokens[3], v)) {
       return err(ServeCode::kInvalidArgument, "bad vertex id");
@@ -1053,10 +960,7 @@ std::string ServeSession::handle_read(
            " same=" + (cu == cv ? "1" : "0");
   }
 
-  if (verb == "TOPK") {
-    if (tokens.size() != 3) {
-      return err(ServeCode::kInvalidArgument, "usage: TOPK <name> <k>");
-    }
+  if (verb == verbs::Id::kTopk) {
     std::size_t k = 0;
     if (!parse_num(tokens[2], k) || k == 0) {
       return err(ServeCode::kInvalidArgument, "bad k");
@@ -1076,10 +980,7 @@ std::string ServeSession::handle_read(
     return out;
   }
 
-  // SUMMARY (is_read_verb admits nothing else).
-  if (tokens.size() != 2) {
-    return err(ServeCode::kInvalidArgument, "usage: SUMMARY <name>");
-  }
+  // SUMMARY (the only other read row).
   PartitionStore::SnapshotPtr snap;
   if (auto e = need_snapshot(tokens[1], snap); !e.empty()) {
     return e;

@@ -340,6 +340,46 @@ TEST_F(ShardedTierTest, DistClusterMatchesSimulationCodelength) {
   EXPECT_EQ(member.substr(0, 2), "OK") << member;
 }
 
+// The router checks a write's arity and options from the verb table before
+// it broadcasts: a malformed write costs no shard call and gets the
+// session's answer word for word.
+TEST_F(ShardedTierTest, MalformedWritesNeverFanOut) {
+  ingest("GEN g 300 1200 4");
+  const obs::Counter& calls =
+      router_->metrics().counter("asamap_router_shard_calls_total");
+  for (const char* line :
+       {"GEN g", "ADD_EDGE g 1", "APPLY", "CLUSTER g sync bogus"}) {
+    const std::uint64_t before = calls.value();
+    const std::string resp = router_->handle_line(line);
+    EXPECT_EQ(resp, oracle_->handle_line(line)) << line;
+    EXPECT_EQ(resp.rfind("ERR invalid_argument", 0), 0u) << resp;
+    EXPECT_EQ(calls.value(), before) << line;
+  }
+}
+
+// mode=dist is the router's one extra CLUSTER option; the others are the
+// session's and are checked before any DCLUSTER step starts.
+TEST_F(ShardedTierTest, DistClusterRejectsBadOptionsBeforeBegin) {
+  ingest("GEN g 300 1200 4");
+  const obs::Counter& calls =
+      router_->metrics().counter("asamap_router_shard_calls_total");
+  const std::uint64_t before = calls.value();
+  EXPECT_EQ(router_->handle_line("CLUSTER g mode=dist bogus"),
+            "ERR invalid_argument CLUSTER: unknown option 'bogus'");
+  EXPECT_EQ(router_->handle_line("CLUSTER g mode=dist deadline_ms=x"),
+            "ERR invalid_argument CLUSTER: bad deadline_ms value");
+  EXPECT_EQ(calls.value(), before);
+  for (const auto& session : sessions_) {
+    EXPECT_EQ(session->metrics()
+                  .counter("asamap_shard_dcluster_steps_total")
+                  .value(),
+              0u);
+  }
+  // The session has no distributed mode: there mode=dist is unknown.
+  EXPECT_EQ(oracle_->handle_line("CLUSTER g mode=dist"),
+            "ERR invalid_argument CLUSTER: unknown option 'mode=dist'");
+}
+
 TEST_F(ShardedTierTest, WrongShardReadsAreRefusedAtTheShard) {
   ingest("GEN g 600 2400 5");
   ingest("CLUSTER g sync");
