@@ -1,24 +1,23 @@
 // Native fast-path scaling bench: the speed baseline every later PR is
 // measured against.  Three questions, one JSON artifact:
 //
-//   1. How much faster are the uninstrumented native engines (flat, hotset)
-//      than the instrumented ChainedAccumulator on the same single-threaded
-//      multilevel run — and does the two-level hot-set front beat the flat
-//      table end-to-end on the FindBestCommunity phase?
-//   2. How do the accumulators compare on a pure begin/accumulate/finalize
-//      replay of the same workload (machinery cost, nothing else)?
+//   1. How much faster is the uninstrumented native engine (flat) than the
+//      instrumented ChainedAccumulator on the same single-threaded
+//      multilevel run's FindBestCommunity phase?
+//   2. How do the two accumulators compare on a pure begin/accumulate/
+//      finalize replay of the same workload (machinery cost, nothing else)?
 //   3. How does run_infomap_parallel scale with threads on a power-law
 //      (Chung-Lu) graph, does the codelength stay thread-invariant, and
 //      what does the propose/verify scheme cost over the serial driver at
-//      one thread (`parallel_1t_vs_hotset`: 1-thread parallel FBC over
-//      serial hot-set FBC)?  Each row also records how the serial verify
+//      one thread (`parallel_1t_vs_serial`: 1-thread parallel FBC over
+//      serial flat FBC)?  Each row also records how the serial verify
 //      settled the proposals (replays vs revalidations).
 //
 // Every timed configuration runs `--reps` interleaved repetitions
 // (benchutil::interleave) and keeps its minimum, printed and recorded with
 // its noise floor: the relative max-min spread of its repetitions.
 //
-// The bench *asserts* (exit 1) that all three engines report bit-identical
+// The bench *asserts* (exit 1) that both engines report bit-identical
 // codelengths — the accumulators are constructed to be output-equivalent,
 // so any drift is a correctness bug, not noise.  When the host has more
 // than one hardware thread it also asserts positive self-speedup; on a
@@ -47,7 +46,6 @@
 #include "asamap/core/infomap.hpp"
 #include "asamap/gen/generators.hpp"
 #include "asamap/hashdb/flat_accumulator.hpp"
-#include "asamap/hashdb/hot_set_accumulator.hpp"
 #include "asamap/hashdb/software_accumulator.hpp"
 #include "asamap/obs/trace.hpp"
 #include "asamap/sim/event_sink.hpp"
@@ -166,11 +164,11 @@ int main(int argc, char** argv) {
             << g.num_arcs() << " arcs, host threads available: "
             << env.host_max_threads << "\n\n";
 
-  // --- Part 1: single-threaded FindBestCommunity phase, three engines.
+  // --- Part 1: single-threaded FindBestCommunity phase, two engines.
   // Identical driver, identical decisions (the kernel tie-breaks order
   // differences away); only the accumulation machinery differs.  The
-  // chained model is deterministic overhead so one run suffices; flat,
-  // hotset and the parallel driver's thread points (part 2) race each other
+  // chained model is deterministic overhead so one run suffices; flat and
+  // the parallel driver's thread points (part 2) race each other
   // for the headline numbers, so they run `reps` interleaved repetitions
   // and keep the per-configuration minimum — adjacent runs share whatever
   // noise the host is producing, and the minimum is the least-disturbed
@@ -208,20 +206,19 @@ int main(int argc, char** argv) {
     return fbc_seconds(reg);
   };
 
-  core::InfomapResult chained, flat, hotset;
+  core::InfomapResult chained, flat;
   const double chained_fbc =
       timed_run(g, core::AccumulatorKind::kChained, chained);
   std::vector<std::function<double()>> sides = {
-      [&] { return timed_run(g, core::AccumulatorKind::kFlat, flat); },
-      [&] { return timed_run(g, core::AccumulatorKind::kHotSet, hotset); }};
+      [&] { return timed_run(g, core::AccumulatorKind::kFlat, flat); }};
   for (ThreadPoint& p : points) {
     sides.push_back([&parallel_run, q = &p] { return parallel_run(*q); });
   }
   const auto reps = benchutil::interleave(cfg.reps, sides);
-  const double flat_fbc = reps.best[0], hotset_fbc = reps.best[1];
+  const double flat_fbc = reps.best[0];
   for (std::size_t i = 0; i < points.size(); ++i) {
-    points[i].fbc = reps.best[i + 2];
-    points[i].noise_floor = reps.spread[i + 2];
+    points[i].fbc = reps.best[i + 1];
+    points[i].noise_floor = reps.spread[i + 1];
   }
 
   benchutil::Table t1({"Engine", "FindBestCommunity (s)", "Noise floor",
@@ -231,24 +228,16 @@ int main(int argc, char** argv) {
   t1.add_row({"flat (native fast path)", fmt(flat_fbc, 3),
               benchutil::fmt_pct(reps.spread[0]),
               fmt(chained_fbc / flat_fbc, 2) + "x", fmt(flat.codelength, 6)});
-  t1.add_row({"hotset (software CAM front)", fmt(hotset_fbc, 3),
-              benchutil::fmt_pct(reps.spread[1]),
-              fmt(chained_fbc / hotset_fbc, 2) + "x",
-              fmt(hotset.codelength, 6)});
   t1.print(std::cout);
-  std::cout << "hotset vs flat (FBC phase): "
-            << fmt(flat_fbc / hotset_fbc, 3) << "x  |  hot-set hit rate "
-            << fmt(hotset.hotset.hit_rate() * 100.0, 2) << "%, vertex coverage "
-            << fmt(hotset.hotset.vertex_coverage() * 100.0, 2) << "%\n\n";
+  std::cout << '\n';
 
-  // Bit-identical codelength across engines is a construction guarantee
-  // (shared first-touch pair order), not a tolerance — enforce it.
-  if (flat.codelength != chained.codelength ||
-      flat.codelength != hotset.codelength) {
+  // Bit-identical codelength across engines is a guarantee (the kernel's
+  // tie-breaking makes decisions order-insensitive), not a tolerance —
+  // enforce it.
+  if (flat.codelength != chained.codelength) {
     std::cerr << "FATAL: codelength mismatch across accumulators\n"
               << "  chained=" << chained.codelength
-              << "\n  flat=" << flat.codelength
-              << "\n  hotset=" << hotset.codelength << '\n';
+              << "\n  flat=" << flat.codelength << '\n';
     return 1;
   }
 
@@ -257,30 +246,23 @@ int main(int argc, char** argv) {
   // begin/accumulate/finalize cost on the identical real workload (the
   // converged partition's per-vertex neighborhood aggregation).
   const int rounds = g.num_vertices() > 50000 ? 20 : 10;
-  double check_chained = 0.0, check_flat = 0.0, check_hotset = 0.0;
+  double check_chained = 0.0, check_flat = 0.0;
   sim::NullSink null_sink;
   hashdb::AddressSpace replay_addrs;
   hashdb::ChainedAccumulator<sim::NullSink> chained_acc(null_sink,
                                                         replay_addrs);
   hashdb::FlatAccumulator flat_acc;
-  hashdb::HotSetAccumulator hotset_acc;
   const double chained_replay = replay_accumulation(
       g, flat.communities, chained_acc, rounds, check_chained);
   const double flat_replay = replay_accumulation(g, flat.communities, flat_acc,
                                                  rounds, check_flat);
-  const double hotset_replay = replay_accumulation(
-      g, flat.communities, hotset_acc, rounds, check_hotset);
   const double acc_speedup = chained_replay / flat_replay;
-  const double hot_acc_speedup = chained_replay / hotset_replay;
   benchutil::Table t1b({"Accumulator", "Replay (s/round)", "Speedup"});
   t1b.add_row({"chained", fmt(chained_replay, 4), "1.00x"});
   t1b.add_row({"flat", fmt(flat_replay, 4), fmt(acc_speedup, 2) + "x"});
-  t1b.add_row({"hotset", fmt(hotset_replay, 4),
-               fmt(hot_acc_speedup, 2) + "x"});
   t1b.print(std::cout);
   const bool replay_parity =
-      std::abs(check_chained - check_flat) < 1e-6 * check_chained &&
-      check_flat == check_hotset;  // flat/hotset are bitwise-equivalent
+      std::abs(check_chained - check_flat) < 1e-6 * check_chained;
   std::cout << "(checksum parity: " << (replay_parity ? "ok" : "MISMATCH")
             << ")\n\n";
   if (!replay_parity) {
@@ -302,13 +284,13 @@ int main(int argc, char** argv) {
   }
   t2.print(std::cout);
   // The parallel driver's cost over the serial one at equal resources:
-  // 1-thread parallel FBC over serial hot-set FBC (both min-of-reps).
+  // 1-thread parallel FBC over serial flat FBC (both min-of-reps).
   double one_thread_vs_serial = 0.0;
   for (const ThreadPoint& p : points) {
-    if (p.threads == 1) one_thread_vs_serial = p.fbc / hotset_fbc;
+    if (p.threads == 1) one_thread_vs_serial = p.fbc / flat_fbc;
   }
   if (one_thread_vs_serial > 0.0) {
-    std::cout << "1-thread parallel vs serial hot-set (FBC phase): "
+    std::cout << "1-thread parallel vs serial flat (FBC phase): "
               << fmt(one_thread_vs_serial, 3) << "x\n";
   }
 
@@ -345,18 +327,10 @@ int main(int argc, char** argv) {
       .put("codelength", chained.codelength);
   phase.child("flat").put("fbc_seconds", flat_fbc)
       .put("noise_floor", reps.spread[0]).put("codelength", flat.codelength);
-  phase.child("hotset").put("fbc_seconds", hotset_fbc)
-      .put("noise_floor", reps.spread[1]).put("codelength", hotset.codelength)
-      .put("hit_rate", hotset.hotset.hit_rate())
-      .put("vertex_coverage", hotset.hotset.vertex_coverage())
-      .put("accumulates", hotset.hotset.accumulates)
-      .put("spills", hotset.hotset.spills);
   phase.put("flat_vs_chained_speedup", chained_fbc / flat_fbc)
-      .put("hotset_vs_flat_speedup", flat_fbc / hotset_fbc)
-      .put("parallel_1t_vs_hotset", one_thread_vs_serial);
+      .put("parallel_1t_vs_serial", one_thread_vs_serial);
   root.child("replay").put("chained_seconds", chained_replay)
-      .put("flat_seconds", flat_replay).put("hotset_seconds", hotset_replay)
-      .put("flat_speedup", acc_speedup).put("hotset_speedup", hot_acc_speedup);
+      .put("flat_seconds", flat_replay).put("flat_speedup", acc_speedup);
   for (const ThreadPoint& p : points) {
     root.child("parallel", true).put("threads", p.threads)
         .put("total_seconds", p.total_seconds).put("fbc_seconds", p.fbc)

@@ -43,12 +43,12 @@ int usage() {
   std::cerr <<
       "usage:\n"
       "  asamap_cli cluster <graph.txt> [--out partition.tsv]\n"
-      "                     [--accumulator hotset|flat|chained|open|asa|dense]\n"
+      "                     [--accumulator flat|chained|open|asa|dense]\n"
       "                     [--parallel N] [--deadline-ms N] [--directed]\n"
       "                     [--metrics prom|json] [--metrics-window prom|json]\n"
       "                     [--trace-out FILE]\n"
       "                     (--engine is an alias for --accumulator;\n"
-      "                      --parallel accepts only hotset|flat)\n"
+      "                      --parallel accepts only flat)\n"
       "  asamap_cli stats   <graph.txt> [--directed]\n"
       "  asamap_cli gen     <dataset-name> <out.txt>\n"
       "  asamap_cli compare <graph.txt> <a.tsv> <b.tsv>\n";
@@ -56,7 +56,6 @@ int usage() {
 }
 
 core::AccumulatorKind engine_of(const std::string& name) {
-  if (name == "hotset") return core::AccumulatorKind::kHotSet;
   if (name == "flat") return core::AccumulatorKind::kFlat;
   if (name == "chained") return core::AccumulatorKind::kChained;
   if (name == "open") return core::AccumulatorKind::kOpen;
@@ -115,15 +114,13 @@ int cmd_cluster(const support::ArgParser& args) {
 
   const int parallel = static_cast<int>(args.int_or("parallel", 0));
   // --accumulator selects the engine; --engine stays as an alias.  Default
-  // is the two-level software-CAM hot set (the fastest native path, and
-  // what run_infomap_parallel defaults to).
+  // is the native flat engine, the one run_infomap_parallel runs.
   const std::string engine_name =
-      args.get_or("accumulator", args.get_or("engine", "hotset"));
+      args.get_or("accumulator", args.get_or("engine", "flat"));
   const core::AccumulatorKind engine = engine_of(engine_name);
-  if (parallel > 0 && engine != core::AccumulatorKind::kHotSet &&
-      engine != core::AccumulatorKind::kFlat) {
-    std::cerr << "--parallel supports only the native accumulators "
-                 "(hotset, flat); got '" << engine_name << "'\n";
+  if (parallel > 0 && engine != core::AccumulatorKind::kFlat) {
+    std::cerr << "--parallel supports only the native accumulator "
+                 "(flat); got '" << engine_name << "'\n";
     return usage();
   }
   const long long deadline_ms = args.int_or("deadline-ms", 0);

@@ -89,11 +89,10 @@ SimRunResult run_simulated(const graph::CsrGraph& g, const SimRunConfig& cfg) {
           });
     }
     case AccumulatorKind::kFlat:
-    case AccumulatorKind::kHotSet:
-      // The native fast-path accumulators are deliberately uninstrumented —
+      // The native fast-path accumulator is deliberately uninstrumented —
       // there is nothing for the simulator to cost.
       ASAMAP_CHECK(false,
-                   "the native engines (flat/hotset) cannot be simulated; "
+                   "the native engine (flat) cannot be simulated; "
                    "pick an instrumented engine (chained/open/dense/asa)");
       break;
     case AccumulatorKind::kAsa:
@@ -125,6 +124,31 @@ core::InfomapResult run_native(const graph::CsrGraph& g,
                                AccumulatorKind kind) {
   opts.time_wall = true;
   return core::run_infomap(g, opts, kind);
+}
+
+CamCoverage measure_cam_coverage(const graph::CsrGraph& g) {
+  asa::Cam c;
+  std::uint64_t clean_vertices = 0, accumulates = 0, evictions = 0;
+  for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
+    std::uint64_t vertex_evictions = 0;
+    for (const graph::Arc& a : g.out_neighbors(v)) {
+      vertex_evictions += c.accumulate(a.dst, a.weight) ? 1 : 0;
+    }
+    c.clear();
+    accumulates += g.out_degree(v);
+    evictions += vertex_evictions;
+    clean_vertices += vertex_evictions == 0 ? 1 : 0;
+  }
+  CamCoverage out;
+  if (g.num_vertices() > 0) {
+    out.vertex_share = static_cast<double>(clean_vertices) /
+                       static_cast<double>(g.num_vertices());
+  }
+  if (accumulates > 0) {
+    out.accumulate_share = 1.0 - static_cast<double>(evictions) /
+                                     static_cast<double>(accumulates);
+  }
+  return out;
 }
 
 const graph::CsrGraph& cached_dataset(const std::string& name) {

@@ -68,6 +68,19 @@ core::InfomapResult run_native(const graph::CsrGraph& g,
                                core::InfomapOptions opts = {},
                                AccumulatorKind kind = AccumulatorKind::kChained);
 
+/// Fig. 5 measured against the CAM model itself: how the paper's 8 KB CAM
+/// (asa::CamConfig's default: 512 entries, fully associative) fares when
+/// every vertex's neighborhood is accumulated through it under an identity
+/// module map (every neighbor a distinct key — the worst case).
+struct CamCoverage {
+  double vertex_share = 1.0;      ///< vertices that caused no eviction
+  double accumulate_share = 1.0;  ///< accumulates that caused no eviction
+};
+
+/// Replays each vertex's out-neighborhood through one default asa::Cam,
+/// clearing it between vertices.
+CamCoverage measure_cam_coverage(const graph::CsrGraph& g);
+
 /// Loads one of the paper's stand-in datasets by name (see gen/datasets.hpp)
 /// with a small in-process cache so multiple benches in one binary do not
 /// regenerate the graph.

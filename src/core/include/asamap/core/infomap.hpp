@@ -37,7 +37,6 @@
 #include "asamap/core/hierarchy.hpp"
 #include "asamap/core/kernel.hpp"
 #include "asamap/core/map_equation.hpp"
-#include "asamap/hashdb/hot_set_accumulator.hpp"
 #include "asamap/obs/trace.hpp"
 #include "asamap/support/check.hpp"
 #include "asamap/support/timer.hpp"
@@ -130,9 +129,6 @@ struct InfomapResult {
   std::vector<SweepTrace> trace;
   support::PhaseTimer kernel_wall;  ///< Fig. 2a: per-kernel native seconds
   KernelBreakdown breakdown;        ///< Fig. 2b / Tab. V attribution
-  /// Aggregated hot-set counters when the run used HotSetAccumulator
-  /// (begins == 0 otherwise) — the software analogue of asa::CamStats.
-  hashdb::HotSetStats hotset;
 
   /// Per-level compacted assignments (level k maps level-(k-1) modules;
   /// level 0 maps original vertices).  Feed to ModuleHierarchy for
@@ -443,16 +439,6 @@ class SerialExecutor final : public SweepExecutor {
     return refine_moves;
   }
 
-  void fold(InfomapResult& result) override {
-    if constexpr (requires { workers_[0].acc->hot_stats(); }) {
-      for (const Worker<Acc, Sink>& w : workers_) {
-        result.hotset += w.acc->hot_stats();
-      }
-    } else {
-      (void)result;
-    }
-  }
-
  private:
   std::span<Worker<Acc, Sink>> workers_;
   const KernelCosts costs_;
@@ -473,12 +459,10 @@ InfomapResult run_multilevel(const graph::CsrGraph& g,
 /// Which accumulation engine a convenience run should use.
 ///
 /// kChained/kOpen/kAsa/kDense are the paper's *modeled* engines — they emit
-/// sink events so simulated runs can cost every probe.  kFlat and kHotSet
-/// are the native fast paths: uninstrumented and cache-friendly.  kHotSet
-/// (hashdb::HotSetAccumulator) fronts the flat table with a fixed 8 KB
-/// SIMD-probed hot set mirroring the paper's CAM, and is the default for
-/// the parallel driver.
-enum class AccumulatorKind { kChained, kOpen, kAsa, kDense, kFlat, kHotSet };
+/// sink events so simulated runs can cost every probe.  kFlat
+/// (hashdb::FlatAccumulator) is the one native engine: uninstrumented and
+/// cache-friendly, the default of both convenience drivers.
+enum class AccumulatorKind { kChained, kOpen, kAsa, kDense, kFlat };
 
 /// Plain, uninstrumented community detection (NullSink, one worker).
 /// The default configuration a library user wants: the flat native-speed
@@ -505,13 +489,11 @@ InfomapResult run_infomap(const graph::CsrGraph& g,
 /// so the result is deterministic *and* bitwise thread-count-invariant:
 /// the same partition and codelength at any thread count.
 ///
-/// `kind` selects the native accumulation engine: kHotSet (default — the
-/// software-CAM two-level accumulator) or kFlat.  The instrumented kinds
-/// are not supported here (their sinks are not thread-safe); both native
-/// engines produce bitwise-identical results by construction.
+/// The accumulation engine is always the native kFlat; any other `kind` is
+/// rejected (the instrumented engines' sinks are not thread-safe).
 InfomapResult run_infomap_parallel(const graph::CsrGraph& g,
                                    const InfomapOptions& opts = {},
                                    int num_threads = 0,
-                                   AccumulatorKind kind = AccumulatorKind::kHotSet);
+                                   AccumulatorKind kind = AccumulatorKind::kFlat);
 
 }  // namespace asamap::core

@@ -196,11 +196,6 @@ MoveProposal evaluate_move(const ModuleState& state, const FlowNetwork& fn,
       hash_cycles += detail::cycles_of(sink) - t0;
     }
     breakdown.accumulate_calls += arcs.size();
-    // Accumulators that track stats in bulk (HotSetAccumulator) get one
-    // addition per neighborhood instead of a counter in every accumulate().
-    if constexpr (requires { acc.note_accumulates(std::uint64_t{}); }) {
-      acc.note_accumulates(arcs.size());
-    }
   }
   {
     // On a one-sided graph these are the out row and out_flow again, still
@@ -220,9 +215,6 @@ MoveProposal evaluate_move(const ModuleState& state, const FlowNetwork& fn,
       hash_cycles += detail::cycles_of(sink) - t0;
     }
     breakdown.accumulate_calls += arcs.size();
-    if constexpr (requires { acc.note_accumulates(std::uint64_t{}); }) {
-      acc.note_accumulates(arcs.size());
-    }
   }
   const double t_finalize = detail::cycles_of(sink);
   const std::span<const hashdb::KeyValue> pairs = acc.finalize();
@@ -247,21 +239,12 @@ MoveProposal evaluate_move(const ModuleState& state, const FlowNetwork& fn,
   sink.instructions(costs.per_vertex);
   const VertexId current = state.module_of(v);
   double flow_current = 0.0;
-  if constexpr (requires { acc.lookup(current); }) {
-    // Accumulators that stay queryable after accumulation (the hot set)
-    // answer the current-module pre-scan with one O(1) probe instead of a
-    // pass over every materialized pair.  The probe reads the same stored
-    // double the scan would have summed (each key appears exactly once),
-    // so the result is bitwise identical.
-    flow_current = acc.lookup(current);
-  } else {
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-      sink.instructions(costs.per_scan_pair);
-      sink.load_stream(addrs.pair_scan + i * 16, 16);
-      const bool is_current = pairs[i].key == current;
-      sink.branch(sim::sites::kScanLoop, is_current);
-      flow_current += is_current ? pairs[i].value : 0.0;
-    }
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    sink.instructions(costs.per_scan_pair);
+    sink.load_stream(addrs.pair_scan + i * 16, 16);
+    const bool is_current = pairs[i].key == current;
+    sink.branch(sim::sites::kScanLoop, is_current);
+    flow_current += is_current ? pairs[i].value : 0.0;
   }
 
   ModuleState::MoveFlows best_flows;

@@ -42,15 +42,6 @@ void publish_run_metrics(const InfomapResult& result,
   reg->gauge("asamap_run_codelength_bits").set(result.codelength);
   reg->gauge("asamap_kernel_prefetch_distance")
       .set(static_cast<double>(kModulePrefetchDistance));
-  if (result.hotset.begins > 0) {
-    reg->counter("asamap_hotset_accumulates_total")
-        .inc(result.hotset.accumulates);
-    reg->counter("asamap_hotset_hits_total").inc(result.hotset.hot_hits());
-    reg->counter("asamap_hotset_spills_total").inc(result.hotset.spills);
-    reg->gauge("asamap_hotset_hit_rate").set(result.hotset.hit_rate());
-    reg->gauge("asamap_hotset_vertex_coverage")
-        .set(result.hotset.vertex_coverage());
-  }
 }
 
 }  // namespace
@@ -210,12 +201,10 @@ InfomapResult run_single(const graph::CsrGraph& g, const InfomapOptions& opts,
 }
 
 /// Everything the propose/verify executor needs, allocated once at level-0
-/// size and reused across sweeps, levels, and the refinement pass.  Per-thread entries are cache-line padded — the proposal loop
-/// updates its thread's accumulator and breakdown on every vertex, and
-/// without padding those updates would ping-pong shared lines.
-/// Parameterized on the native accumulation engine (FlatAccumulator or
-/// HotSetAccumulator — both uninstrumented and bitwise-equivalent).
-template <typename Acc>
+/// size and reused across sweeps, levels, and the refinement pass.
+/// Per-thread entries are cache-line padded — the proposal loop updates its
+/// thread's accumulator and breakdown on every vertex, and without padding
+/// those updates would ping-pong shared lines.
 struct ParallelWorkspace {
   int threads = 1;
 
@@ -229,7 +218,7 @@ struct ParallelWorkspace {
   // Per-thread state, shard-per-thread with a post-region fold
   // (obs::PerThread replaces the hand-rolled CacheAligned vectors plus
   // ad-hoc merge loops this driver used to carry).
-  std::vector<support::CacheAligned<Acc>> accs;
+  std::vector<support::CacheAligned<hashdb::FlatAccumulator>> accs;
   obs::PerThread<KernelBreakdown> breakdowns;
   obs::PerThread<double> propose_seconds;
 
@@ -254,19 +243,6 @@ struct ParallelWorkspace {
     std::fill_n(next_active.begin(), n, std::uint8_t{0});
     std::fill_n(flagged.begin(), n, std::uint8_t{0});
     std::fill_n(stamp.begin(), n, std::uint64_t{0});
-  }
-
-  /// Folds per-thread hot-set counters into `result` (no-op for engines
-  /// without them, e.g. FlatAccumulator).
-  void fold_hot_stats(InfomapResult& result) {
-    if constexpr (requires(Acc& a) { a.hot_stats(); }) {
-      for (auto& acc : accs) {
-        result.hotset += acc->hot_stats();
-        acc->reset_hot_stats();
-      }
-    } else {
-      (void)result;
-    }
   }
 };
 
@@ -308,10 +284,9 @@ constexpr VertexId kRound = 1024;
 /// plus their 1-hop neighborhood (the incremental re-sweep of a delta
 /// batch) instead of every vertex; activation then propagates from movers
 /// exactly as in the full case.
-template <typename Acc>
 std::uint64_t parallel_sweeps(const LevelSweep& lv, int max_sweeps,
-                              const KernelCosts& costs,
-                              ParallelWorkspace<Acc>& ws, bool record_trace) {
+                              const KernelCosts& costs, ParallelWorkspace& ws,
+                              bool record_trace) {
   ModuleState& state = lv.state;
   const FlowNetwork& fn = lv.fn;
   const InfomapOptions& opts = lv.opts;
@@ -367,7 +342,7 @@ std::uint64_t parallel_sweeps(const LevelSweep& lv, int max_sweeps,
   {
     support::tsan_acquire(&ws);
     const int tid = omp_get_thread_num();
-    Acc& acc = *ws.accs[tid];
+    hashdb::FlatAccumulator& acc = *ws.accs[tid];
     KernelBreakdown& bd = ws.breakdowns.local(tid);
     double& propose_seconds = ws.propose_seconds.local(tid);
 
@@ -467,7 +442,6 @@ std::uint64_t parallel_sweeps(const LevelSweep& lv, int max_sweeps,
 /// Propose/verify executor (RelaxMap-style relaxed concurrency, made
 /// deterministic): parallel_sweeps over one workspace reused by every level
 /// and the refinement pass.
-template <typename Acc>
 class ProposeVerifyExecutor final : public SweepExecutor {
  public:
   explicit ProposeVerifyExecutor(int threads) : ws_(threads) {}
@@ -505,12 +479,11 @@ class ProposeVerifyExecutor final : public SweepExecutor {
                         [](KernelBreakdown& into, const KernelBreakdown& bd) {
                           into += bd;
                         });
-    ws_.fold_hot_stats(result);
   }
 
  private:
   const KernelCosts costs_;
-  ParallelWorkspace<Acc> ws_;
+  ParallelWorkspace ws_;
 };
 
 }  // namespace
@@ -522,10 +495,6 @@ InfomapResult run_infomap(const graph::CsrGraph& g, const InfomapOptions& opts,
   switch (kind) {
     case AccumulatorKind::kFlat: {
       hashdb::FlatAccumulator acc;
-      return run_single(g, opts, acc, sink);
-    }
-    case AccumulatorKind::kHotSet: {
-      hashdb::HotSetAccumulator acc;
       return run_single(g, opts, acc, sink);
     }
     case AccumulatorKind::kOpen: {
@@ -552,15 +521,10 @@ InfomapResult run_infomap_parallel(const graph::CsrGraph& g,
                                    const InfomapOptions& opts, int num_threads,
                                    AccumulatorKind kind) {
   if (num_threads <= 0) num_threads = omp_get_max_threads();
-  ASAMAP_CHECK(
-      kind == AccumulatorKind::kFlat || kind == AccumulatorKind::kHotSet,
-      "run_infomap_parallel supports only the native engines (flat/hotset); "
-      "instrumented kinds need the sequential simulated driver");
-  if (kind == AccumulatorKind::kFlat) {
-    ProposeVerifyExecutor<hashdb::FlatAccumulator> exec(num_threads);
-    return run_levels(g, opts, exec);
-  }
-  ProposeVerifyExecutor<hashdb::HotSetAccumulator> exec(num_threads);
+  ASAMAP_CHECK(kind == AccumulatorKind::kFlat,
+               "run_infomap_parallel supports only the native engine (flat); "
+               "instrumented kinds need the sequential simulated driver");
+  ProposeVerifyExecutor exec(num_threads);
   return run_levels(g, opts, exec);
 }
 

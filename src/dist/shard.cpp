@@ -168,7 +168,14 @@ std::string ShardSession::handle_ranged_read(
     serve::verbs::Id verb, const std::vector<std::string_view>& tokens,
     std::string_view line) {
   // Bad arguments and graphs without a snapshot fall through to the inner
-  // session, whose error texts are the canonical ones.
+  // session, whose error texts are the canonical ones.  Answers the shard
+  // gives itself are counted in the inner session's per-verb series too,
+  // so its HEALTH SLOs see the router's gather legs.
+  support::WallTimer wall;
+  const auto own = [&](std::string response) {
+    inner_.record_request(verb, wall.seconds(), response);
+    return response;
+  };
   const std::string name(tokens[1]);
 
   if (verb == serve::verbs::Id::kMember || verb == serve::verbs::Id::kSame) {
@@ -183,10 +190,10 @@ std::string ShardSession::handle_ranged_read(
       const std::uint32_t owner = owner_of(v, n, ranges);
       if (owner != config_.shard_id) {
         wrong_shard_total_->inc();
-        return err("not_found",
-                   "wrong_shard vertex=" + std::to_string(v) +
-                       " owner=" + std::to_string(owner) +
-                       " shard=" + std::to_string(config_.shard_id));
+        return own(err("not_found",
+                       "wrong_shard vertex=" + std::to_string(v) +
+                           " owner=" + std::to_string(owner) +
+                           " shard=" + std::to_string(config_.shard_id)));
       }
     }
     return inner_.handle_line(line);
@@ -198,10 +205,10 @@ std::string ShardSession::handle_ranged_read(
     const std::shared_ptr<const RangeView> rv = range_view(name);
     if (!rv) return inner_.handle_line(line);
     if (rv->partial_flow.size() > kMaxPartialCommunities) {
-      return err("too_large",
-                 "partial merge over " +
-                     std::to_string(rv->partial_flow.size()) +
-                     " communities; use SHARD FORWARD");
+      return own(err("too_large",
+                     "partial merge over " +
+                         std::to_string(rv->partial_flow.size()) +
+                         " communities; use SHARD FORWARD"));
     }
     std::string out = "OK version=" + std::to_string(rv->snap->version) +
                       " shard=" + std::to_string(config_.shard_id) +
@@ -216,14 +223,14 @@ std::string ShardSession::handle_ranged_read(
       out += std::to_string(c) + ":" +
              fmt_double(rv->partial_flow[c], kExactDigits);
     }
-    return out;
+    return own(std::move(out));
   }
 
   // SUMMARY
   const std::shared_ptr<const RangeView> rv = range_view(name);
   if (!rv) return inner_.handle_line(line);
   const auto& snap = *rv->snap;
-  return "OK version=" + std::to_string(snap.version) +
+  return own("OK version=" + std::to_string(snap.version) +
          " shard=" + std::to_string(config_.shard_id) +
          " shards=" + std::to_string(config_.shards) +
          " range=" + std::to_string(rv->range.begin) + ":" +
@@ -234,7 +241,7 @@ std::string ShardSession::handle_ranged_read(
          " codelength=" + fmt_double(snap.codelength, kExactDigits) +
          " modularity=" + fmt_double(snap.modularity, kExactDigits) +
          " interrupted=" + (snap.interrupted ? "1" : "0") +
-         " job=" + std::to_string(snap.build_job);
+         " job=" + std::to_string(snap.build_job));
 }
 
 std::string ShardSession::run_step(const char* label,

@@ -10,6 +10,8 @@
 
 #include <cerrno>
 #include <cstring>
+#include <exception>
+#include <string>
 #include <utility>
 
 #include "asamap/net/frame.hpp"
@@ -227,7 +229,17 @@ void NetServer::worker_loop(int index) {
       // fans out to) parents under it, keyed by the connection id.
       obs::TraceSpan span("net.batch", obs::TraceCat::kSession,
                           obs::FlightRecorder::instance(), batch.conn_id);
-      handler_.handle_batch(lines, responses);
+      try {
+        handler_.handle_batch(lines, responses);
+      } catch (const std::exception& e) {
+        // A request that escapes its handler must not end the process:
+        // answer the whole batch with the error and keep serving.
+        std::string what = e.what();
+        for (char& c : what) {
+          if (c == '\n' || c == '\r') c = ' ';
+        }
+        responses.assign(lines.size(), serve::protocol::err("internal", what));
+      }
     }
     for (std::size_t i = 0; i < responses.size(); ++i) {
       append_message(responses[i], batch.items[i].binary, reply.data);

@@ -46,7 +46,7 @@ class OpsSurface {
       const obs::HealthInputs& liveness = {});
 
   /// The STATS build-identity suffix, leading space included:
-  /// ` uptime=<s> rev=<rev> build=<mode> faults=<0|1> accumulator=hotset`.
+  /// ` uptime=<s> rev=<rev> build=<mode> faults=<0|1> accumulator=flat`.
   /// Refreshes the uptime gauge.
   [[nodiscard]] std::string stats_identity();
 

@@ -139,7 +139,7 @@ class ServeSession : public RequestHandler {
   bool drop(const std::string& name);
 
   /// Enqueues a re-cluster of `name` on the scheduler.  The job runs
-  /// run_infomap_parallel (native hot-set fast path) against the
+  /// run_infomap_parallel (the native flat engine) against the
   /// graph snapshot it captured at submission; a publish only happens when
   /// the job was neither cancelled nor expired.
   SubmitResult submit_recluster(
@@ -149,6 +149,13 @@ class ServeSession : public RequestHandler {
   /// Current snapshot for a graph; nullptr when never clustered.  All
   /// query answers derived from one SnapshotPtr are mutually consistent.
   [[nodiscard]] PartitionStore::SnapshotPtr snapshot(const std::string& name);
+
+  /// Counts a request a wrapper answered without handle_line (a shard's
+  /// range-partial reads) in this session's per-verb request and latency
+  /// series, and an ERR `response` in its error counter, exactly as
+  /// handle_line would have.
+  void record_request(verbs::Id verb, double seconds,
+                      std::string_view response);
 
   // --- dynamic graphs (DESIGN.md §4f) ------------------------------------
 
@@ -267,6 +274,9 @@ class ServeSession : public RequestHandler {
 
   std::string handle_line_impl(const verbs::Resolved& request,
                                const std::vector<std::string_view>& tokens);
+  /// One answered request into `vm` and, for an ERR, the error counter.
+  void record(const VerbMetrics& vm, double seconds,
+              std::string_view response);
   /// The `session.io` injection site (chaos builds): sleeps through a
   /// latency fault; any other fault is returned as the request's answer.
   std::string io_fault();

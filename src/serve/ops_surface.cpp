@@ -97,7 +97,7 @@ std::string OpsSurface::stats_identity() {
   return " uptime=" + fmt_double(uptime) + " rev=" + obs::build_git_rev() +
          " build=" + obs::build_mode() +
          " faults=" + (fault::kFaultInjectionEnabled ? "1" : "0") +
-         " accumulator=hotset";
+         " accumulator=flat";
 }
 
 std::string OpsSurface::metrics_json(const obs::MetricRegistry& metrics,

@@ -567,10 +567,20 @@ std::string ServeSession::handle_line(std::string_view line) {
     obs::TraceSpan span(vm.trace_name, obs::TraceCat::kSession);
     response = handle_line_impl(request, tokens);
   }
-  vm.requests->inc();
-  vm.latency->record_seconds(wall.seconds());
-  if (response.rfind("ERR", 0) == 0) errors_total_->inc();
+  record(vm, wall.seconds(), response);
   return response;
+}
+
+void ServeSession::record(const VerbMetrics& vm, double seconds,
+                          std::string_view response) {
+  vm.requests->inc();
+  vm.latency->record_seconds(seconds);
+  if (response.rfind("ERR", 0) == 0) errors_total_->inc();
+}
+
+void ServeSession::record_request(verbs::Id verb, double seconds,
+                                  std::string_view response) {
+  record(verb_metrics_[static_cast<std::size_t>(verb)], seconds, response);
 }
 
 void ServeSession::handle_batch(const std::vector<std::string_view>& lines,
@@ -614,9 +624,7 @@ void ServeSession::handle_batch(const std::vector<std::string_view>& lines,
                      ? handle_read(last_verb->id, tokens, &cache)
                      : std::move(request.error);
     }
-    vm.requests->inc();
-    vm.latency->record_seconds(wall.seconds());
-    if (response.rfind("ERR", 0) == 0) errors_total_->inc();
+    record(vm, wall.seconds(), response);
     responses.push_back(std::move(response));
   }
 }

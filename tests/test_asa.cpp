@@ -1,13 +1,18 @@
 // Unit tests for the ASA accelerator model: CAM accumulate semantics (hit /
-// fill / evict per the paper's three outcomes), gather, overflow FIFO, and
-// the full accumulator's sort_and_merge correctness.
+// fill / evict per the paper's three outcomes), gather, overflow FIFO, the
+// full accumulator's sort_and_merge correctness, and the Fig. 5 cross-check
+// of the CAM replay against the degree-histogram coverage.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <unordered_map>
 
 #include "asamap/asa/accumulator.hpp"
 #include "asamap/asa/cam.hpp"
+#include "asamap/benchutil/experiments.hpp"
+#include "asamap/gen/generators.hpp"
+#include "asamap/graph/stats.hpp"
 #include "asamap/hashdb/address_space.hpp"
 #include "asamap/hashdb/software_accumulator.hpp"
 #include "asamap/sim/core_model.hpp"
@@ -286,6 +291,33 @@ TEST(AsaAccumulator, RandomizedAgainstSoftwareAccumulator) {
       EXPECT_NEAR(val, b.at(key), 1e-9);
     }
   }
+}
+
+TEST(CamCoverage, ReplayMatchesDegreeHistogramAt8KB) {
+  // A fully associative CAM evicts exactly when a neighborhood holds more
+  // distinct keys than it has entries, so under the identity module map the
+  // no-eviction vertex share is the degree-histogram coverage at 512
+  // entries — bench_fig5_cam_coverage prints both columns side by side.
+  gen::ChungLuParams params;
+  params.n = 6000;
+  params.target_edges = 150000;
+  params.gamma = 2.1;
+  params.min_deg = 2;
+  const graph::CsrGraph g = gen::chung_lu(params, 509);
+  const double histogram =
+      graph::coverage_at_capacity(graph::degree_histogram(g), 512);
+  ASSERT_LT(histogram, 1.0);  // some hubs must overflow the 8 KB CAM
+  const benchutil::CamCoverage replay = benchutil::measure_cam_coverage(g);
+  EXPECT_EQ(replay.vertex_share, histogram);
+  // With distinct keys every accumulate past the 512th of a neighborhood
+  // evicts, and no other one does.
+  double arcs = 0.0, overflowing = 0.0;
+  for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
+    const auto d = static_cast<double>(g.out_degree(v));
+    arcs += d;
+    overflowing += std::max(0.0, d - 512.0);
+  }
+  EXPECT_DOUBLE_EQ(replay.accumulate_share, 1.0 - overflowing / arcs);
 }
 
 }  // namespace

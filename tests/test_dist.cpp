@@ -395,6 +395,28 @@ TEST_F(ShardedTierTest, WrongShardReadsAreRefusedAtTheShard) {
   EXPECT_EQ(shards_[1]->handle_line("SHARD INFO"), "OK shard=1 shards=2");
 }
 
+TEST(ShardMetrics, OwnRangeReadsCountInTheInnerSession) {
+  // TOPK and SUMMARY partials are answered by the shard itself, not the
+  // inner session; they must still land in its per-verb series, which the
+  // shard's HEALTH SLOs read.
+  serve::ServeSession inner(tier_config());
+  dist::ShardSession shard(inner, dist::ShardConfig{0, 2});
+  for (const char* line :
+       {"GEN g 200 800 3", "CLUSTER g sync", "TOPK g 3", "TOPK g 3",
+        "SUMMARY g"}) {
+    ASSERT_EQ(shard.handle_line(line).substr(0, 2), "OK") << line;
+  }
+  const obs::MetricRegistry& reg = inner.metrics();
+  EXPECT_EQ(reg.counter_total("asamap_serve_requests_total", "verb=\"TOPK\""),
+            2u);
+  EXPECT_EQ(
+      reg.counter_total("asamap_serve_requests_total", "verb=\"SUMMARY\""),
+      1u);
+  EXPECT_EQ(reg.histogram_merged_all("asamap_serve_request_seconds").count(),
+            5u);
+  EXPECT_EQ(reg.counter_total("asamap_serve_errors_total"), 0u);
+}
+
 TEST_F(ShardedTierTest, ShardDownMidScatterDegradesAndRetries) {
   ingest("GEN g 500 2000 7");
   ingest("CLUSTER g sync");
@@ -801,7 +823,7 @@ TEST(OpsPin, RouterStatsIdentitySuffix) {
             std::string(" uptime=# rev=") + obs::build_git_rev() +
                 " build=" + obs::build_mode() + " faults=" +
                 (fault::kFaultInjectionEnabled ? "1" : "0") +
-                " accumulator=hotset");
+                " accumulator=flat");
 }
 
 // Malformed ops verbs get the session's answers word for word; only the

@@ -579,21 +579,6 @@ TEST(WarmStart, SeededActiveSetConfinesTheResweep) {
   EXPECT_EQ(warm.communities, full.communities);
 }
 
-TEST(WarmStart, ParallelWarmStartAgreesAcrossEngines) {
-  const auto pp = gen::planted_partition(700, 7, 0.25, 0.01, 43);
-  std::vector<VertexId> seed;
-  for (VertexId v = 0; v < 40; ++v) seed.push_back(v);
-  core::InfomapOptions opts;
-  opts.warm_start = &pp.ground_truth;
-  opts.active_seed = &seed;
-  const auto flat = core::run_infomap_parallel(pp.graph, opts, 2,
-                                               core::AccumulatorKind::kFlat);
-  const auto hotset = core::run_infomap_parallel(
-      pp.graph, opts, 2, core::AccumulatorKind::kHotSet);
-  EXPECT_EQ(flat.codelength, hotset.codelength);
-  EXPECT_EQ(flat.communities, hotset.communities);
-}
-
 // --- registry pinning (eviction must not orphan pending deltas) -----------
 
 TEST(RegistryPinning, PinnedGraphSurvivesBudgetPressure) {

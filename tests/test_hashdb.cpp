@@ -11,7 +11,6 @@
 #include "asamap/hashdb/address_space.hpp"
 #include "asamap/hashdb/chained_map.hpp"
 #include "asamap/hashdb/flat_accumulator.hpp"
-#include "asamap/hashdb/hot_set_accumulator.hpp"
 #include "asamap/hashdb/open_map.hpp"
 #include "asamap/hashdb/software_accumulator.hpp"
 #include "asamap/sim/event_sink.hpp"
@@ -327,162 +326,6 @@ TEST(FlatAccumulator, ManyCyclesStayCheapAndCorrect) {
       EXPECT_NEAR(kv.value, ref[kv.key], 1e-12);
     }
   }
-}
-
-// --- HotSetAccumulator: the two-level software CAM.
-
-TEST(HotSetAccumulator, AccumulatesAndMergesInFirstTouchOrder) {
-  hashdb::HotSetAccumulator acc;
-  acc.begin();
-  acc.accumulate(7, 1.5);
-  acc.accumulate(3, 2.0);
-  acc.accumulate(7, 0.5);
-  const auto pairs = acc.finalize();
-  ASSERT_EQ(pairs.size(), 2u);
-  EXPECT_EQ(acc.distinct(), 2u);
-  EXPECT_EQ(pairs[0].key, 7u);
-  EXPECT_DOUBLE_EQ(pairs[0].value, 2.0);
-  EXPECT_EQ(pairs[1].key, 3u);
-  EXPECT_DOUBLE_EQ(pairs[1].value, 2.0);
-}
-
-/// Drives flat and hotset through the identical call sequence and asserts
-/// the outputs are bitwise identical INCLUDING pair order — the invariant
-/// the kernel's decision parity rests on.
-void expect_bitwise_flat_parity(hashdb::HotSetAccumulator& hot,
-                                std::uint64_t seed, int cycles, int max_ops,
-                                int key_range) {
-  hashdb::FlatAccumulator flat;
-  support::SplitMix64 rng(seed);
-  for (int cycle = 0; cycle < cycles; ++cycle) {
-    hot.begin();
-    flat.begin();
-    const int ops = 1 + static_cast<int>(rng() % max_ops);
-    for (int i = 0; i < ops; ++i) {
-      const auto key = static_cast<std::uint32_t>(rng() % key_range);
-      const double val = static_cast<double>(rng() % 1000) / 100.0;
-      hot.accumulate(key, val);
-      flat.accumulate(key, val);
-    }
-    const auto a = hot.finalize();
-    const auto b = flat.finalize();
-    ASSERT_EQ(a.size(), b.size()) << "cycle " << cycle;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      ASSERT_EQ(a[i].key, b[i].key) << "cycle " << cycle << " pair " << i;
-      ASSERT_EQ(a[i].value, b[i].value)  // bitwise, not NEAR
-          << "cycle " << cycle << " pair " << i;
-    }
-    // lookup() must read the same stored doubles finalize() exposes.
-    for (const auto& kv : a) {
-      ASSERT_EQ(hot.lookup(kv.key), kv.value) << "cycle " << cycle;
-    }
-    ASSERT_EQ(hot.lookup(static_cast<std::uint32_t>(key_range + 5)), 0.0);
-  }
-}
-
-TEST(HotSetAccumulator, BitwiseMatchesFlatSmallNeighborhoods) {
-  hashdb::HotSetAccumulator acc;  // nothing spills at this size
-  expect_bitwise_flat_parity(acc, 4242, 300, 60, 80);
-  EXPECT_EQ(acc.hot_stats().spills, 0u);
-  EXPECT_DOUBLE_EQ(acc.hot_stats().vertex_coverage(), 1.0);
-}
-
-TEST(HotSetAccumulator, BitwiseMatchesFlatThroughSaturation) {
-  // Key range far beyond the admission budget: most cycles saturate, so
-  // the overflow dump and the post-saturation spill path are exercised.
-  hashdb::HotSetAccumulator acc(64, 8);
-  expect_bitwise_flat_parity(acc, 4243, 100, 600, 4000);
-  EXPECT_GT(acc.hot_stats().spills, 0u);
-  EXPECT_LT(acc.hot_stats().vertex_coverage(), 1.0);
-}
-
-TEST(HotSetAccumulator, CapacityOneDegeneratesToOverflow) {
-  // A 1-entry hot level has a zero admission budget: every cycle starts
-  // saturated and the accumulator must behave exactly like the flat table.
-  hashdb::HotSetAccumulator acc(1, 8);
-  expect_bitwise_flat_parity(acc, 4244, 100, 100, 200);
-}
-
-TEST(HotSetAccumulator, AllSpillAdversarialNeighborhood) {
-  // More distinct keys per cycle than the entire hot level: the admission
-  // budget must saturate, the overflow must grow to hold everything, and
-  // the totals must still be exact.
-  hashdb::HotSetAccumulator acc(16, 8);
-  acc.begin();
-  for (std::uint32_t k = 0; k < 5000; ++k) acc.accumulate(k, 1.0);
-  for (std::uint32_t k = 0; k < 5000; ++k) acc.accumulate(k, 0.5);
-  EXPECT_EQ(acc.distinct(), 5000u);
-  const auto pairs = acc.finalize();
-  ASSERT_EQ(pairs.size(), 5000u);
-  for (const auto& kv : pairs) EXPECT_DOUBLE_EQ(kv.value, 1.5);
-  EXPECT_GE(acc.overflow_capacity(), 5000u);
-  EXPECT_GT(acc.hot_stats().spills, 0u);
-  // Saturated-cycle lookups answer from the (complete) overflow table.
-  EXPECT_DOUBLE_EQ(acc.lookup(4999), 1.5);
-  EXPECT_DOUBLE_EQ(acc.lookup(12345), 0.0);
-}
-
-TEST(HotSetAccumulator, EpochWraparoundResetsCleanly) {
-  // Jump the epoch counter to its maximum so the next begin() wraps: stale
-  // stamps from "4 billion cycles ago" must not alias as live.
-  hashdb::HotSetAccumulator acc(32, 8);
-  acc.begin();
-  for (std::uint32_t k = 0; k < 200; ++k) acc.accumulate(k, 3.0);
-  ASSERT_EQ(acc.distinct(), 200u);
-  acc.set_epoch_for_testing(~std::uint32_t{0});
-  acc.begin();  // wraps to epoch 1 after the full reset
-  EXPECT_EQ(acc.distinct(), 0u);
-  EXPECT_DOUBLE_EQ(acc.lookup(5), 0.0);  // key 5 was live pre-wrap
-  acc.accumulate(5, 7.0);
-  const auto pairs = acc.finalize();
-  ASSERT_EQ(pairs.size(), 1u);
-  EXPECT_EQ(pairs[0].key, 5u);
-  EXPECT_DOUBLE_EQ(pairs[0].value, 7.0);
-  EXPECT_DOUBLE_EQ(acc.lookup(5), 7.0);
-  // And the cycle after the wrap is ordinary again.
-  acc.begin();
-  EXPECT_DOUBLE_EQ(acc.lookup(5), 0.0);
-  acc.accumulate(9, 1.0);
-  EXPECT_EQ(acc.finalize().size(), 1u);
-}
-
-TEST(HotSetAccumulator, StatsAccountHitsSpillsAndCoverage) {
-  hashdb::HotSetAccumulator acc(16, 8);
-  // Cycle 1: fits the hot level entirely (budget is 8).
-  acc.begin();
-  for (std::uint32_t k = 0; k < 4; ++k) acc.accumulate(k, 1.0);
-  acc.note_accumulates(4);
-  EXPECT_EQ(acc.hot_stats().spills, 0u);
-  // Cycle 2: 100 distinct keys blow the budget; everything after
-  // saturation that misses the hot level is a spill.
-  acc.begin();
-  for (std::uint32_t k = 0; k < 100; ++k) acc.accumulate(k, 1.0);
-  acc.note_accumulates(100);
-  const auto& s = acc.hot_stats();
-  EXPECT_EQ(s.begins, 2u);
-  EXPECT_EQ(s.accumulates, 104u);
-  EXPECT_GT(s.spills, 0u);
-  EXPECT_LT(s.spills, 104u);
-  EXPECT_EQ(s.hot_hits(), s.accumulates - s.spills);
-  EXPECT_EQ(s.spilled_begins, 1u);
-  EXPECT_DOUBLE_EQ(s.vertex_coverage(), 0.5);
-  EXPECT_GT(s.hit_rate(), 0.0);
-  EXPECT_LT(s.hit_rate(), 1.0);
-  acc.reset_hot_stats();
-  EXPECT_EQ(acc.hot_stats().begins, 0u);
-  EXPECT_EQ(acc.hot_stats().accumulates, 0u);
-}
-
-TEST(HotSetAccumulator, LookupOnSaturatedCycleSeesHotResidents) {
-  // Keys admitted before saturation keep answering (home slot or the
-  // overflow dump); keys spilled after answer from the overflow.
-  hashdb::HotSetAccumulator acc(8, 8);  // budget 4
-  acc.begin();
-  for (std::uint32_t k = 0; k < 50; ++k) acc.accumulate(k, 2.0);
-  for (std::uint32_t k = 0; k < 50; ++k) {
-    EXPECT_DOUBLE_EQ(acc.lookup(k), 2.0) << "key " << k;
-  }
-  EXPECT_DOUBLE_EQ(acc.lookup(999), 0.0);
 }
 
 TEST(FlatAccumulator, MatchesChainedAccumulatorAsMultiset) {

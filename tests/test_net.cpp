@@ -4,7 +4,8 @@
 // target for the socket->worker edge), and the epoll server end to end
 // over real loopback sockets — text/binary autodetect, partial-frame
 // reassembly across wakeups, pipelined batches, the multi-line response
-// envelope over TCP, per-connection QUIT, and clean stop().
+// envelope over TCP, per-connection QUIT, a throwing handler answered with
+// ERR internal, and clean stop().
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include <chrono>
 #include <cstring>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -24,6 +26,8 @@
 #include "asamap/net/frame.hpp"
 #include "asamap/net/server.hpp"
 #include "asamap/net/spsc_ring.hpp"
+#include "asamap/obs/metrics.hpp"
+#include "asamap/serve/handler.hpp"
 #include "asamap/serve/session.hpp"
 
 namespace {
@@ -471,6 +475,36 @@ TEST_F(NetServerTest, StopDisconnectsClientsAndIsIdempotent) {
   EXPECT_TRUE(client.at_eof());
   server_->stop();  // idempotent
   EXPECT_FALSE(server_->running());
+}
+
+/// Echoes each line back as `OK <line>`, except that a `BOOM` line throws —
+/// a handler that breaks its never-throws contract.
+class ThrowingHandler final : public serve::RequestHandler {
+ public:
+  std::string handle_line(std::string_view line) override {
+    if (line == "BOOM") throw std::runtime_error("boom\nsecond line");
+    return "OK " + std::string(line);
+  }
+  obs::MetricRegistry& metrics() noexcept override { return metrics_; }
+
+ private:
+  obs::MetricRegistry metrics_;
+};
+
+TEST(NetServerHandlerFault, ThrowingBatchGetsErrAndConnectionSurvives) {
+  ThrowingHandler handler;
+  NetServer server(handler);
+  ASSERT_TRUE(server.start().ok());
+  TestClient client(server.port());
+  std::string resp;
+  client.send_text("BOOM");
+  ASSERT_TRUE(client.read_message(resp));
+  EXPECT_EQ(resp, "ERR internal boom second line");
+  client.send_text("PING");
+  ASSERT_TRUE(client.read_message(resp));
+  EXPECT_EQ(resp, "OK PING");
+  EXPECT_TRUE(server.running());
+  server.stop();
 }
 
 // Many concurrent connections pipelining against both workers while a

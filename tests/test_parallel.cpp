@@ -53,7 +53,7 @@ TEST(ParallelDeterminism, EveryAccumulatorKindMatchesChained) {
       core::run_infomap(pp.graph, {}, AccumulatorKind::kChained);
   for (const AccumulatorKind kind :
        {AccumulatorKind::kOpen, AccumulatorKind::kAsa, AccumulatorKind::kDense,
-        AccumulatorKind::kFlat, AccumulatorKind::kHotSet}) {
+        AccumulatorKind::kFlat}) {
     const InfomapResult r = core::run_infomap(pp.graph, {}, kind);
     EXPECT_EQ(chained.communities, r.communities);
     EXPECT_NEAR(chained.codelength, r.codelength, 1e-9);
@@ -172,16 +172,6 @@ TEST(ParallelMultiRound, ThreadCountInvariant) {
   EXPECT_GT(t1.num_communities, 1u);
 }
 
-TEST(ParallelMultiRound, FlatEqualsHotSet) {
-  const auto& g = multi_round_graph();
-  const InfomapResult flat =
-      core::run_infomap_parallel(g, {}, 2, AccumulatorKind::kFlat);
-  const InfomapResult hot =
-      core::run_infomap_parallel(g, {}, 2, AccumulatorKind::kHotSet);
-  EXPECT_EQ(flat.communities, hot.communities);
-  EXPECT_EQ(flat.codelength, hot.codelength);
-}
-
 TEST(ParallelMultiRound, SeededWarmStartInvariant) {
   const auto& g = multi_round_graph();
   const WarmStart w =
@@ -192,14 +182,10 @@ TEST(ParallelMultiRound, SeededWarmStartInvariant) {
   const InfomapResult t1 = core::run_infomap_parallel(g, opts, 1);
   const InfomapResult t2 = core::run_infomap_parallel(g, opts, 2);
   const InfomapResult t4 = core::run_infomap_parallel(g, opts, 4);
-  const InfomapResult flat =
-      core::run_infomap_parallel(g, opts, 2, AccumulatorKind::kFlat);
   EXPECT_EQ(t1.communities, t2.communities);
   EXPECT_EQ(t1.communities, t4.communities);
   EXPECT_EQ(t1.codelength, t2.codelength);
   EXPECT_EQ(t1.codelength, t4.codelength);
-  EXPECT_EQ(flat.communities, t2.communities);
-  EXPECT_EQ(flat.codelength, t2.codelength);
   // The re-sweep repairs the perturbation.
   EXPECT_LT(t1.codelength, t1.initial_codelength);
 }
@@ -232,7 +218,7 @@ TEST(ParallelMultiRound, OneThreadQualityMatchesSerialDriver) {
   // driver's by more than 0.1%.
   const auto& g = multi_round_graph();
   const InfomapResult serial =
-      core::run_infomap(g, {}, AccumulatorKind::kHotSet);
+      core::run_infomap(g, {}, AccumulatorKind::kFlat);
   const InfomapResult par = core::run_infomap_parallel(g, {}, 1);
   EXPECT_LE(par.codelength, serial.codelength * (1.0 + 1e-3));
 }

@@ -1021,7 +1021,7 @@ TEST(OpsPin, SessionStatsIdentitySuffix) {
             std::string(" uptime=# rev=") + obs::build_git_rev() +
                 " build=" + obs::build_mode() + " faults=" +
                 (fault::kFaultInjectionEnabled ? "1" : "0") +
-                " accumulator=hotset");
+                " accumulator=flat");
 }
 
 TEST(OpsPin, SessionMalformedForms) {
