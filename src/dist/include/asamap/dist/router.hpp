@@ -28,11 +28,13 @@
 ///                   windows, answered byte for byte as ServeSession does;
 ///                   HEALTH adds a shards SLO from last-known liveness
 ///   METRICS FLEET [prom|json]
-///                 → federation (ISSUE 10): scrape every shard's `METRICS
-///                   json`, re-label each series with shard="K", sum
-///                   counters and merge histograms (via the mergeable
-///                   `buckets` field) into shard="fleet" aggregates — one
-///                   scrape shows the whole tier.  A down shard is reported
+///                 → federation: read every shard's `METRICS json` with
+///                   obs::parse_metrics_json, re-label each series with
+///                   shard="K", sum counters and merge histograms (via the
+///                   mergeable `buckets` field) into shard="fleet"
+///                   aggregates, and render them as OpsSurface renders
+///                   METRICS — one scrape shows the whole tier, each value
+///                   as its shard wrote it.  A down shard is reported
 ///                   (asamap_fleet_shards_down, shard_scraped=0), never an
 ///                   error.
 ///   HEALTH FLEET  → live-probes every shard's HEALTH, folds the per-shard
@@ -58,6 +60,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -74,7 +77,6 @@
 #include "asamap/serve/handler.hpp"
 #include "asamap/serve/ops_surface.hpp"
 #include "asamap/serve/verbs.hpp"
-#include "asamap/support/histogram.hpp"
 
 namespace asamap::dist {
 
@@ -153,6 +155,8 @@ class Router : public serve::RequestHandler {
     [[nodiscard]] bool all_ok() const { return ok_count == ok.size(); }
     /// The shards that did not answer, as `i,j,...`.
     [[nodiscard]] std::string down_list() const;
+    /// The answered/unanswered split as HEALTH's shards-SLO input.
+    [[nodiscard]] obs::HealthInputs liveness() const;
   };
 
   struct VerbMetrics {
@@ -196,23 +200,17 @@ class Router : public serve::RequestHandler {
 
   // --- observability plane (ISSUE 10) -------------------------------------
 
-  /// One shard series parsed out of a `METRICS json` scrape: the key split
-  /// into name + label body, and either a scalar or a decoded histogram.
-  struct FleetSeries {
-    std::string name;
-    std::string labels;  ///< original label body, no braces, may be empty
-    bool is_hist = false;
-    double value = 0.0;
-    support::LatencyHistogram hist;
-  };
-
   /// METRICS FLEET [prom|json]: scrape every shard, relabel, aggregate.
   std::string fleet_metrics(const std::vector<std::string_view>& tokens);
   /// HEALTH FLEET: live-probe every shard's HEALTH, fold the verdicts.
   std::string fleet_health();
-  /// Scrapes shard `i`'s `METRICS json` and parses its asamap_* series.
-  /// False ⇒ shard unreachable (out untouched).
-  bool scrape_shard_metrics(std::size_t i, std::vector<FleetSeries>& out);
+  /// The FLEET probe: `line` to every shard in shard order.  A shard is
+  /// reached when it answers OK and `read(i, reply)` accepts the reply;
+  /// each shard's scraped gauge and the fleet up/down gauges record the
+  /// outcome.  A probe is not a scatter: it records no scatter latency.
+  Gather probe_fleet(
+      std::string_view line,
+      const std::function<bool(std::size_t, std::string_view)>& read);
   /// Last-known liveness from the up flags (no network).
   [[nodiscard]] obs::HealthInputs liveness_inputs() const;
 

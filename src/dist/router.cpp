@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
+#include <iterator>
 #include <numeric>
-#include <sstream>
 #include <thread>
 
-#include "asamap/obs/envelope.hpp"
 #include "asamap/obs/tracing.hpp"
 #include "asamap/serve/protocol.hpp"
 #include "asamap/serve/verbs.hpp"
@@ -56,57 +56,10 @@ std::string verb_label(std::string_view verb) {
   return "verb=\"" + std::string(verb) + "\"";
 }
 
-/// Inverse of escape_json for the self-produced metric keys a fleet scrape
-/// reads back (only \" \\ \n \t ever appear there).
-std::string json_unescape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '\\' || i + 1 >= s.size()) {
-      out += s[i];
-      continue;
-    }
-    ++i;
-    switch (s[i]) {
-      case 'n': out += '\n'; break;
-      case 't': out += '\t'; break;
-      default: out += s[i]; break;  // \" and \\ (and anything exotic, as-is)
-    }
-  }
-  return out;
-}
-
-/// `"key": <number>` lookup inside a one-line JSON object.
-bool json_number_field(std::string_view obj, std::string_view key,
-                       double& out) {
-  const std::string needle = "\"" + std::string(key) + "\": ";
-  const std::size_t pos = obj.find(needle);
-  if (pos == std::string_view::npos) return false;
-  std::string_view rest = obj.substr(pos + needle.size());
-  const std::size_t end = rest.find_first_of(",}");
-  return parse_num(rest.substr(0, end), out);
-}
-
-/// `"key": "<value>"` lookup inside a one-line JSON object (the buckets
-/// field — digits, colons, commas only, so no unescaping needed).
-std::string_view json_string_field(std::string_view obj,
-                                   std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\": \"";
-  const std::size_t pos = obj.find(needle);
-  if (pos == std::string_view::npos) return {};
-  std::string_view rest = obj.substr(pos + needle.size());
-  return rest.substr(0, rest.find('"'));
-}
-
 /// `labels` with `shard="<id>"` appended.
 std::string with_shard_label(const std::string& labels,
-                             std::string_view shard) {
-  std::string out = labels;
-  if (!out.empty()) out += ',';
-  out += "shard=\"";
-  out += shard;
-  out += '"';
-  return out;
+                             const std::string& shard) {
+  return (labels.empty() ? "shard=\"" : labels + ",shard=\"") + shard + '"';
 }
 
 }  // namespace
@@ -576,6 +529,15 @@ std::string Router::Gather::down_list() const {
   return down;
 }
 
+obs::HealthInputs Router::Gather::liveness() const {
+  obs::HealthInputs in;
+  in.have_shards = true;
+  in.shards_up = ok_count;
+  in.shards_down = ok.size() - ok_count;
+  in.down_list = down_list();
+  return in;
+}
+
 std::size_t Router::observe_gather(const Gather& g, const std::string& name) {
   std::size_t first_ok = kNoShard;
   for (std::size_t i = 0; i < g.ok.size(); ++i) {
@@ -924,43 +886,41 @@ std::string Router::handle_stats() {
 // --- observability plane (ISSUE 10) ----------------------------------------
 
 obs::HealthInputs Router::liveness_inputs() const {
-  obs::HealthInputs in;
-  in.have_shards = true;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (shards_[i]->up.load(std::memory_order_relaxed)) {
-      ++in.shards_up;
-    } else {
-      ++in.shards_down;
-      if (!in.down_list.empty()) in.down_list += ',';
-      in.down_list += std::to_string(i);
-    }
+  Gather g;
+  for (const auto& shard : shards_) {
+    g.ok.push_back(shard->up.load(std::memory_order_relaxed));
+    if (g.ok.back()) ++g.ok_count;
   }
-  return in;
+  return g.liveness();
+}
+
+Router::Gather Router::probe_fleet(
+    std::string_view line,
+    const std::function<bool(std::size_t, std::string_view)>& read) {
+  Gather g;
+  g.ok.assign(shards_.size(), false);
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    std::string resp;
+    g.ok[i] = shard_call(i, line, resp) && starts_with(resp, "OK") &&
+              read(i, resp);
+    if (g.ok[i]) ++g.ok_count;
+    shards_[i]->scraped_gauge->set(g.ok[i] ? 1 : 0);
+  }
+  fleet_up_->set(static_cast<double>(g.ok_count));
+  fleet_down_->set(static_cast<double>(shards_.size() - g.ok_count));
+  return g;
 }
 
 std::string Router::fleet_health() {
   // Live probe: one HEALTH per shard (shard_call updates the up/breaker
   // gauges as a side effect, so the probe refreshes the liveness view).
-  std::vector<std::string> statuses(shards_.size());
-  obs::HealthInputs in;
-  in.have_shards = true;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    std::string resp;
-    if (shard_call(i, "HEALTH", resp) && starts_with(resp, "OK")) {
-      statuses[i] = std::string(field(resp, "status="));
-      if (statuses[i].empty()) statuses[i] = "unknown";
-      shards_[i]->scraped_gauge->set(1);
-      ++in.shards_up;
-    } else {
-      statuses[i] = "down";
-      shards_[i]->scraped_gauge->set(0);
-      ++in.shards_down;
-      if (!in.down_list.empty()) in.down_list += ',';
-      in.down_list += std::to_string(i);
-    }
-  }
-  fleet_up_->set(static_cast<double>(in.shards_up));
-  fleet_down_->set(static_cast<double>(in.shards_down));
+  std::vector<std::string> statuses(shards_.size(), "down");
+  const obs::HealthInputs in =
+      probe_fleet("HEALTH", [&](std::size_t i, std::string_view resp) {
+        statuses[i] = field(resp, "status=");
+        if (statuses[i].empty()) statuses[i] = "unknown";
+        return true;
+      }).liveness();
 
   const obs::HealthReport report = health_.evaluate(obs::mono_now_ns(), in);
   // Fold shard-reported verdicts: a shard that says degraded or unhealthy
@@ -991,231 +951,54 @@ std::string Router::fleet_health() {
   return out;
 }
 
-bool Router::scrape_shard_metrics(std::size_t i,
-                                  std::vector<FleetSeries>& out) {
-  std::string resp;
-  if (!shard_call(i, "METRICS json", resp) || !starts_with(resp, "OK")) {
-    return false;
-  }
-  const std::size_t nl = resp.find('\n');
-  if (nl == std::string::npos) return false;
-  std::string_view payload = std::string_view(resp).substr(nl + 1);
-  // Line-parse the self-produced registry JSON: each metric is one
-  // `"key": value` line (histograms are one-line objects carrying the
-  // mergeable `buckets` field); envelope fields are filtered out by the
-  // asamap_ name prefix.
-  while (!payload.empty()) {
-    const std::size_t eol = payload.find('\n');
-    std::string_view line = payload.substr(0, eol);
-    payload = eol == std::string_view::npos ? std::string_view{}
-                                            : payload.substr(eol + 1);
-    const std::size_t open = line.find('"');
-    if (open == std::string_view::npos) continue;
-    // Closing quote of the key: the first unescaped '"'.
-    std::size_t close = open + 1;
-    while (close < line.size() &&
-           !(line[close] == '"' && line[close - 1] != '\\')) {
-      ++close;
-    }
-    if (close >= line.size()) continue;
-    const std::string key =
-        json_unescape(line.substr(open + 1, close - open - 1));
-    if (!starts_with(key, "asamap_")) continue;
-    std::string_view value = line.substr(close + 1);
-    const std::size_t colon = value.find(':');
-    if (colon == std::string_view::npos) continue;
-    value = value.substr(colon + 1);
-    while (!value.empty() && value.front() == ' ') value.remove_prefix(1);
-    while (!value.empty() && (value.back() == ',' || value.back() == ' ')) {
-      value.remove_suffix(1);
-    }
-    FleetSeries s;
-    const std::size_t brace = key.find('{');
-    if (brace == std::string::npos) {
-      s.name = key;
-    } else {
-      s.name = key.substr(0, brace);
-      s.labels = key.substr(brace + 1);
-      if (!s.labels.empty() && s.labels.back() == '}') s.labels.pop_back();
-    }
-    if (!value.empty() && value.front() == '{') {
-      double sum = 0.0, mn = 0.0, mx = 0.0;
-      json_number_field(value, "sum", sum);
-      json_number_field(value, "min", mn);
-      json_number_field(value, "max", mx);
-      s.is_hist = true;
-      s.hist = support::LatencyHistogram::decode(
-          sum, mn, mx, json_string_field(value, "buckets"));
-    } else if (!parse_num(value, s.value)) {
-      continue;
-    }
-    out.push_back(std::move(s));
-  }
-  return true;
-}
-
 std::string Router::fleet_metrics(
     const std::vector<std::string_view>& tokens) {
-  const std::string_view format = tokens.size() == 3 ? tokens[2] : "prom";
-  if (format != "prom" && format != "prometheus" && format != "json") {
-    return err("invalid_argument",
-               "METRICS FLEET: unknown format '" + std::string(format) +
-                   "' (want prom or json)");
-  }
-  std::vector<std::vector<FleetSeries>> per_shard(shards_.size());
-  std::size_t up = 0;
-  std::string down_list;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    const bool ok = scrape_shard_metrics(i, per_shard[i]);
-    shards_[i]->scraped_gauge->set(ok ? 1 : 0);
-    if (ok) {
-      ++up;
-    } else {
-      if (!down_list.empty()) down_list += ',';
-      down_list += std::to_string(i);
-    }
-  }
-  fleet_up_->set(static_cast<double>(up));
-  fleet_down_->set(static_cast<double>(shards_.size() - up));
-
-  // Aggregate across shards per (name, labels): histograms merge through
-  // the decoded buckets, counters (the *_total naming convention) sum;
-  // gauges stay per-shard only — summing a gauge has no meaning.
-  struct Agg {
-    std::string name;
-    std::string labels;
-    bool is_hist = false;
-    double sum = 0.0;
-    support::LatencyHistogram hist;
-  };
-  std::vector<Agg> aggs;
-  std::unordered_map<std::string, std::size_t> agg_index;
-  const auto agg_slot = [&](const FleetSeries& s) -> Agg& {
-    std::string key = s.name + '\x01' + s.labels;
-    const auto it = agg_index.find(key);
-    if (it != agg_index.end()) return aggs[it->second];
-    agg_index.emplace(std::move(key), aggs.size());
-    aggs.push_back({s.name, s.labels, s.is_hist, 0.0, {}});
-    return aggs.back();
-  };
-  for (const auto& shard_series : per_shard) {
-    for (const FleetSeries& s : shard_series) {
-      if (s.is_hist) {
-        agg_slot(s).hist.merge(s.hist);
-      } else if (std::string_view(s.name).ends_with("_total")) {
-        agg_slot(s).sum += s.value;
-      }
-    }
-  }
-
-  const auto hist_json = [](const support::LatencyHistogram& h) {
-    std::string o = "{\"count\": " + std::to_string(h.count()) +
-                    ", \"sum\": " + fmt_double(h.total_seconds()) +
-                    ", \"mean\": " + fmt_double(h.mean_seconds()) +
-                    ", \"min\": " + fmt_double(h.min_seconds()) +
-                    ", \"max\": " + fmt_double(h.max_seconds()) +
-                    ", \"p50\": " + fmt_double(h.quantile_seconds(0.5)) +
-                    ", \"p90\": " + fmt_double(h.quantile_seconds(0.9)) +
-                    ", \"p99\": " + fmt_double(h.quantile_seconds(0.99)) +
-                    ", \"buckets\": \"" + h.encode_buckets() + "\"}";
-    return o;
-  };
-
-  if (format == "json") {
-    std::ostringstream out;
-    out << "{\n";
-    obs::write_envelope_fields(
-        out, obs::make_envelope("router_metrics_fleet"), "  ");
-    out << "  \"shards\": " << shards_.size() << ",\n";
-    out << "  \"up\": " << up << ",\n";
-    out << "  \"down\": " << (shards_.size() - up) << ",\n";
-    out << "  \"down_list\": \"" << down_list << "\",\n";
-    out << "  \"fleet\": {";
-    bool first = true;
-    const auto emit = [&](const std::string& name, const std::string& labels,
-                          const std::string& rendered) {
-      out << (first ? "\n" : ",\n");
-      first = false;
-      out << "    \"" << obs::escape_json(name + '{' + labels + '}')
-          << "\": " << rendered;
-    };
-    for (std::size_t i = 0; i < per_shard.size(); ++i) {
-      const std::string shard_id = std::to_string(i);
-      for (const FleetSeries& s : per_shard[i]) {
-        emit(s.name, with_shard_label(s.labels, shard_id),
-             s.is_hist ? hist_json(s.hist) : fmt_double(s.value));
-      }
-    }
-    for (const Agg& a : aggs) {
-      emit(a.name, with_shard_label(a.labels, "fleet"),
-           a.is_hist ? hist_json(a.hist) : fmt_double(a.sum));
-    }
-    out << (first ? "}" : "\n  }") << "\n}";
-    return enveloped("json", out.str());
-  }
-
-  // Prometheus text: group per metric name under one # TYPE line, exactly
-  // like the registry's own renderer; the kind falls out of the sample
-  // shape (histogram ⇒ summary) and the *_total convention (⇒ counter).
-  struct Series {
-    std::string labels;
-    bool is_hist = false;
-    double value = 0.0;
-    const support::LatencyHistogram* hist = nullptr;
-  };
-  std::vector<std::string> name_order;
-  std::unordered_map<std::string, std::vector<Series>> by_name;
-  const auto add_series = [&](const std::string& name, Series s) {
-    auto& group = by_name[name];
-    if (group.empty()) name_order.push_back(name);
-    group.push_back(std::move(s));
-  };
-  for (std::size_t i = 0; i < per_shard.size(); ++i) {
-    const std::string shard_id = std::to_string(i);
-    for (const FleetSeries& s : per_shard[i]) {
-      add_series(s.name, {with_shard_label(s.labels, shard_id), s.is_hist,
-                          s.value, s.is_hist ? &s.hist : nullptr});
-    }
-  }
-  for (const Agg& a : aggs) {
-    add_series(a.name, {with_shard_label(a.labels, "fleet"), a.is_hist,
-                        a.sum, a.is_hist ? &a.hist : nullptr});
-  }
-  std::string text;
-  text += "# TYPE asamap_fleet_shards_up gauge\n";
-  text += "asamap_fleet_shards_up " + std::to_string(up) + "\n";
-  text += "# TYPE asamap_fleet_shards_down gauge\n";
-  text += "asamap_fleet_shards_down " +
-          std::to_string(shards_.size() - up) + "\n";
-  for (const std::string& name : name_order) {
-    const auto& group = by_name[name];
-    const bool is_hist = group.front().is_hist;
-    const bool is_counter =
-        !is_hist && std::string_view(name).ends_with("_total");
-    text += "# TYPE " + name +
-            (is_hist ? " summary" : is_counter ? " counter" : " gauge") +
-            "\n";
-    for (const Series& s : group) {
-      if (!s.is_hist) {
-        text += name + '{' + s.labels + "} " +
-                (is_counter
-                     ? std::to_string(static_cast<std::uint64_t>(s.value))
-                     : fmt_double(s.value)) +
-                "\n";
-        continue;
-      }
-      for (const double q : {0.5, 0.9, 0.99}) {
-        text += name + '{' + s.labels + ",quantile=\"" + fmt_double(q) +
-                "\"} " + fmt_double(s.hist->quantile_seconds(q)) + "\n";
-      }
-      text += name + "_sum{" + s.labels + "} " +
-              fmt_double(s.hist->total_seconds()) + "\n";
-      text += name + "_count{" + s.labels + "} " +
-              std::to_string(s.hist->count()) + "\n";
-    }
-  }
-  if (!text.empty() && text.back() == '\n') text.pop_back();
-  return enveloped("prometheus", std::move(text));
+  return ops_.fleet(tokens.size() == 3 ? tokens[2] : "prom", [&] {
+    serve::OpsSurface::FleetScrape found;
+    // Counters (the *_total convention) sum and histograms merge through
+    // their decoded buckets into one shard="fleet" sample per series; a
+    // gauge has no meaningful sum.
+    std::vector<obs::MetricSample> fleet;
+    std::unordered_map<std::string, std::size_t> fleet_index;
+    const Gather g = probe_fleet(
+        "METRICS json", [&](std::size_t i, std::string_view resp) {
+          std::vector<obs::MetricSample> shard;
+          const std::size_t nl = resp.find('\n');
+          if (nl == std::string_view::npos ||
+              !obs::parse_metrics_json(resp.substr(nl + 1), shard)) {
+            return false;
+          }
+          const std::string id = std::to_string(i);
+          for (obs::MetricSample& s : shard) {
+            if (s.kind != obs::MetricKind::kGauge) {
+              const auto [it, fresh] = fleet_index.try_emplace(
+                  s.name + '\x01' + s.labels, fleet.size());
+              if (fresh) {
+                fleet.push_back({s.kind, s.name,
+                                 with_shard_label(s.labels, "fleet"), 0.0,
+                                 {}});
+              }
+              obs::MetricSample& agg = fleet[it->second];
+              agg.value += s.value;
+              agg.hist.merge(s.hist);
+            }
+            s.labels = with_shard_label(s.labels, id);
+            found.series.push_back(std::move(s));
+          }
+          return true;
+        });
+    found.series.insert(found.series.end(),
+                        std::make_move_iterator(fleet.begin()),
+                        std::make_move_iterator(fleet.end()));
+    found.liveness = g.liveness();
+    // The router's own fleet gauges, which the probe just set.
+    found.gauges = {
+        {obs::MetricKind::kGauge, "asamap_fleet_shards_up", "",
+         fleet_up_->value(), {}},
+        {obs::MetricKind::kGauge, "asamap_fleet_shards_down", "",
+         fleet_down_->value(), {}}};
+    return found;
+  });
 }
 
 }  // namespace asamap::dist

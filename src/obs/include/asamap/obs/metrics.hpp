@@ -28,6 +28,7 @@
 #include <memory>
 #include <mutex>
 #include <ostream>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -148,6 +149,30 @@ struct MetricSample {
   support::LatencyHistogram hist;  ///< populated for histograms
 };
 
+/// The one Prometheus text writer (METRICS, METRICS WINDOW, METRICS
+/// FLEET): a `# TYPE` line per name over its samples, names in
+/// first-appearance order; counters as integers, gauges at 9 significant
+/// digits, histograms as summaries (p50/p90/p99 + _sum/_count).
+void write_prometheus(std::ostream& os, std::span<const MetricSample> samples);
+
+/// The samples as one JSON object keyed `name` or `name{label="v"}`:
+/// counters and gauges map to numbers, histograms to {count, sum, mean,
+/// min, max, p50, p90, p99, buckets} objects — `buckets` is the sparse
+/// LatencyHistogram::encode_buckets() form, the mergeable representation.
+/// Lines after the first are prefixed with `indent` so the object nests
+/// into a caller's envelope; no trailing newline.
+void write_json(std::ostream& os, std::span<const MetricSample> samples,
+                const char* indent = "  ");
+
+/// The inverse of write_json, over that object or a `METRICS json`
+/// document carrying it as "metrics".  An object value is a histogram
+/// (LatencyHistogram::decode), a `_total` name a counter, else a gauge.
+/// The text is peer input: a sample with a bad name, a non-finite value
+/// (a counter's or histogram field's outside [0, 2^64)) or a count its
+/// buckets disagree with is dropped.  False, `out` untouched, when the
+/// text is not such a JSON object.
+bool parse_metrics_json(std::string_view json, std::vector<MetricSample>& out);
+
 /// The named-metric registry.  Handles returned by counter()/gauge()/
 /// histogram() are valid for the registry's lifetime and stable across
 /// further registrations; repeated calls with the same (name, labels)
@@ -166,18 +191,8 @@ class MetricRegistry {
   /// Point-in-time copy of every metric, in registration order.
   [[nodiscard]] std::vector<MetricSample> samples() const;
 
-  /// Prometheus text exposition: `# TYPE` per metric name, counters and
-  /// gauges as single samples, histograms as summaries (p50/p90/p99 +
-  /// _sum/_count).  Lines end with '\n'.
+  /// obs::write_prometheus / obs::write_json over samples().
   void write_prometheus(std::ostream& os) const;
-
-  /// The registry as one JSON object: scalar metrics map to numbers,
-  /// histograms to {count, sum, mean, min, max, p50, p90, p99, buckets}
-  /// objects — `buckets` is the sparse LatencyHistogram::encode_buckets()
-  /// form, the mergeable representation the router's fleet scrape decodes.
-  /// Keys are `name` or `name{label="v"}`.  Lines after the first are
-  /// prefixed with `indent` so the object nests into a caller's envelope;
-  /// no trailing newline.
   void write_json(std::ostream& os, const char* indent = "  ") const;
 
   /// Exact-key scalar lookups (0 when the metric is absent).
@@ -211,8 +226,6 @@ class MetricRegistry {
     std::unique_ptr<Histogram> h;
   };
 
-  static void write_prometheus_sample(std::ostream& os,
-                                      const MetricSample& s);
   Entry& find_or_create(MetricKind kind, std::string_view name,
                         std::string_view labels);
   [[nodiscard]] const Entry* find(std::string_view name,

@@ -55,11 +55,13 @@ struct WindowTierConfig {
   const char* label = "fast";                 ///< window= label on output
 };
 
+/// 10 × 1s ("fast", a 10s window) and 6 × 10s ("slow", a 60s window).
+/// Out of line: GCC 12 reports an inlined copy of an initializer list of
+/// these structs as maybe-uninitialized.
+std::vector<WindowTierConfig> default_window_tiers();
+
 struct WindowConfig {
-  std::vector<WindowTierConfig> tiers{
-      {1'000'000'000ULL, 10, "fast"},   // 10 × 1s  = 10s window
-      {10'000'000'000ULL, 6, "slow"},   // 6 × 10s  = 60s window
-  };
+  std::vector<WindowTierConfig> tiers = default_window_tiers();
 };
 
 class WindowStore {
@@ -109,9 +111,9 @@ class WindowStore {
   }
 
   /// Every counter's per-tier rate and every histogram's windowed
-  /// quantiles, as `name{...,window="fast"}`-style Prometheus lines
-  /// (`_rate` / windowed summary suffixes) or one JSON object.  Drives the
-  /// METRICS WINDOW verb.
+  /// summary, as `name{...,window="fast"}` Prometheus series (`_rate`
+  /// gauges, `_window` summaries, through obs::write_prometheus) or one
+  /// JSON object.  Drives the METRICS WINDOW verb.
   void write_prometheus(std::ostream& os, std::uint64_t now_ns);
   void write_json(std::ostream& os, std::uint64_t now_ns,
                   const char* indent = "  ");
@@ -129,6 +131,13 @@ class WindowStore {
   };
 
   Snapshot take_snapshot(std::uint64_t now_ns) const;
+  /// Tier `t`'s view of the `live` counters and histograms (mu_ held): a
+  /// counter's value becomes its per-second rate over the window, a
+  /// histogram keeps only its in-window samples.  `span` gets the seconds
+  /// the window covers.
+  std::vector<MetricSample> view_locked(const std::vector<MetricSample>& live,
+                                        std::size_t t, std::uint64_t now_ns,
+                                        double& span) const;
   void tick_locked(std::uint64_t now_ns);
 
   const MetricRegistry& registry_;

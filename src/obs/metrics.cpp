@@ -1,6 +1,11 @@
 #include "asamap/obs/metrics.hpp"
 
 #include <algorithm>
+#include <cctype>
+#include <charconv>
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <utility>
 
 #include "asamap/obs/format.hpp"
@@ -101,10 +106,244 @@ std::string prom_series(const std::string& name, const std::string& labels,
   return out;
 }
 
+/// A counter sample's value as the integer it renders as, saturating:
+/// parsed and summed samples may lie past the uint64 range, where a plain
+/// cast would be undefined.
+std::uint64_t counter_value(double v) {
+  return v >= std::ldexp(1.0, 64) ? std::numeric_limits<std::uint64_t>::max()
+         : v > 0.0                ? static_cast<std::uint64_t>(v)
+                                  : 0;
+}
+
+void write_prometheus_sample(std::ostream& os, const MetricSample& s) {
+  switch (s.kind) {
+    case MetricKind::kCounter:
+      os << prom_series(s.name, s.labels) << ' ' << counter_value(s.value)
+         << '\n';
+      break;
+    case MetricKind::kGauge:
+      os << prom_series(s.name, s.labels) << ' ' << fmt_scrape(s.value)
+         << '\n';
+      break;
+    case MetricKind::kHistogram: {
+      for (const double q : {0.5, 0.9, 0.99}) {
+        os << prom_series(s.name, s.labels,
+                          "quantile=\"" + fmt_scrape(q) + "\"")
+           << ' ' << fmt_scrape(s.hist.quantile_seconds(q)) << '\n';
+      }
+      os << prom_series(s.name + "_sum", s.labels) << ' '
+         << fmt_scrape(s.hist.total_seconds()) << '\n';
+      os << prom_series(s.name + "_count", s.labels) << ' ' << s.hist.count()
+         << '\n';
+      break;
+    }
+  }
+}
+
+/// Reads the JSON that write_json and the document envelopes emit, front
+/// to back: objects, strings, and bare tokens (numbers, literals and the
+/// `nan`/`inf` a non-finite gauge renders as).  Arrays never appear.
+struct JsonReader {
+  std::string_view s;
+  std::size_t at = 0;
+
+  void ws() {
+    while (at < s.size() && std::isspace(static_cast<unsigned char>(s[at]))) {
+      ++at;
+    }
+  }
+  /// Whether `c` comes next, after whitespace.
+  bool peek(char c) {
+    ws();
+    return at < s.size() && s[at] == c;
+  }
+  bool eat(char c) { return peek(c) && ++at > 0; }
+
+  /// `{ "key": value, ... }`: `member(key)` consumes each value.
+  template <class Member>
+  bool object(Member&& member) {
+    if (!eat('{')) return false;
+    if (eat('}')) return true;
+    std::string key;
+    do {
+      if (!string(key) || !eat(':') || !member(key)) return false;
+    } while (eat(','));
+    return eat('}');
+  }
+
+  /// A string, unescaped: escape_json writes \" \\ \n \t and \u00XX.
+  bool string(std::string& out) {
+    if (!eat('"')) return false;
+    out.clear();
+    while (at < s.size()) {
+      char c = s[at++];
+      if (c == '"') return true;
+      if (c == '\\' && at < s.size()) {
+        c = s[at++];
+        if (c == 'n') c = '\n';
+        if (c == 't') c = '\t';
+        if (c == 'u') {
+          unsigned code = 0;
+          const char* hex = s.data() + at;
+          if (s.size() - at < 4 ||
+              std::from_chars(hex, hex + 4, code, 16).ptr != hex + 4 ||
+              code >= 0x20) {
+            return false;
+          }
+          c = static_cast<char>(code);
+          at += 4;
+        }
+      }
+      out += c;
+    }
+    return false;
+  }
+
+  /// A bare token: the run of characters a number or a literal spells.
+  std::string_view token() {
+    ws();
+    const std::size_t from = at;
+    while (at < s.size() && (std::isalnum(static_cast<unsigned char>(s[at])) ||
+                             std::strchr("+-.", s[at]) != nullptr)) {
+      ++at;
+    }
+    return s.substr(from, at - from);
+  }
+};
+
+/// `text`, all of it, as a finite double; with `count`, also one a
+/// counter or a histogram's sum/min/max holds: in [0, 2^64).
+bool number(std::string_view text, double& out, bool count = false) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc() && ptr == end && std::isfinite(out) &&
+         (!count || (out >= 0.0 && out < std::ldexp(1.0, 64)));
+}
+
+/// One member of a registry object, its value consumed from `in`.  A valid
+/// sample is appended to `out`; anything else is dropped.  False only when
+/// the JSON itself is malformed.
+bool read_sample(JsonReader& in, const std::string& key,
+                 std::vector<MetricSample>& out) {
+  if (std::string skipped; in.peek('"')) return in.string(skipped);
+  MetricSample s;
+  const std::size_t brace = std::min(key.find('{'), key.size());
+  s.name = key.substr(0, brace);
+  s.labels = key.substr(std::min(brace + 1, key.size()));
+  // A Prometheus name, [a-zA-Z_:][a-zA-Z0-9_:]*, and a braced label body.
+  bool valid = !s.name.empty() &&
+               !std::isdigit(static_cast<unsigned char>(s.name[0])) &&
+               std::all_of(s.name.begin(), s.name.end(), [](char c) {
+                 return std::isalnum(static_cast<unsigned char>(c)) ||
+                        c == '_' || c == ':';
+               });
+  if (brace < key.size()) {
+    valid = valid && s.labels.ends_with('}');
+    if (valid) s.labels.pop_back();
+  }
+  if (!in.peek('{')) {
+    s.kind = s.name.ends_with("_total") ? MetricKind::kCounter
+                                        : MetricKind::kGauge;
+    const std::string_view text = in.token();
+    if (text.empty()) return false;
+    valid = number(text, s.value, s.kind == MetricKind::kCounter) && valid;
+  } else {
+    // The derived fields (mean, p50, ...) are read and dropped.
+    s.kind = MetricKind::kHistogram;
+    double count = -1.0, sum = -1.0, min = -1.0, max = -1.0;
+    std::string buckets;
+    if (!in.object([&](const std::string& field) {
+          if (field == "buckets") return in.string(buckets);
+          const std::string_view text = in.token();
+          double* v = field == "count" ? &count : field == "sum" ? &sum
+                      : field == "min" ? &min : field == "max" ? &max
+                                                               : nullptr;
+          if (v != nullptr && !number(text, *v, true)) valid = false;
+          return !text.empty();
+        })) {
+      return false;
+    }
+    s.hist = support::LatencyHistogram::decode(sum, min, max, buckets);
+    // A missing field stays -1; a refused bucket pair shows in the count.
+    valid = valid && std::min({sum, min, max}) >= 0.0 &&
+            static_cast<double>(s.hist.count()) == count;
+  }
+  if (valid) out.push_back(std::move(s));
+  return true;
+}
+
 }  // namespace
 
 std::string escape_label_value(std::string_view value) {
   return escape_label_chunk(value);
+}
+
+void write_prometheus(std::ostream& os,
+                      std::span<const MetricSample> samples) {
+  // Exposition format requires all samples of a metric name to sit
+  // contiguously under one `# TYPE` line, so group by name (names ordered
+  // by first appearance, label sets in sample order within one).
+  std::vector<std::string_view> name_order;
+  std::unordered_map<std::string_view, std::vector<const MetricSample*>>
+      by_name;
+  for (const auto& s : samples) {
+    auto& group = by_name[s.name];
+    if (group.empty()) name_order.push_back(s.name);
+    group.push_back(&s);
+  }
+  for (const std::string_view name : name_order) {
+    const auto& group = by_name[name];
+    os << "# TYPE " << name << ' ' << to_string(group.front()->kind) << '\n';
+    for (const MetricSample* sp : group) write_prometheus_sample(os, *sp);
+  }
+}
+
+void write_json(std::ostream& os, std::span<const MetricSample> samples,
+                const char* indent) {
+  if (samples.empty()) {
+    os << "{}";
+    return;
+  }
+  os << "{\n";
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    const auto& s = samples[i];
+    os << indent << "  \"" << escape_json(prom_series(s.name, s.labels))
+       << "\": ";
+    switch (s.kind) {
+      case MetricKind::kCounter: os << counter_value(s.value); break;
+      case MetricKind::kGauge: os << fmt_scrape(s.value); break;
+      case MetricKind::kHistogram:
+        os << "{\"count\": " << s.hist.count()
+           << ", \"sum\": " << fmt_scrape(s.hist.total_seconds())
+           << ", \"mean\": " << fmt_scrape(s.hist.mean_seconds())
+           << ", \"min\": " << fmt_scrape(s.hist.min_seconds())
+           << ", \"max\": " << fmt_scrape(s.hist.max_seconds())
+           << ", \"p50\": " << fmt_scrape(s.hist.quantile_seconds(0.5))
+           << ", \"p90\": " << fmt_scrape(s.hist.quantile_seconds(0.9))
+           << ", \"p99\": " << fmt_scrape(s.hist.quantile_seconds(0.99))
+           << ", \"buckets\": \"" << s.hist.encode_buckets() << "\"}";
+        break;
+    }
+    os << (i + 1 < samples.size() ? ",\n" : "\n");
+  }
+  os << indent << '}';
+}
+
+bool parse_metrics_json(std::string_view json,
+                        std::vector<MetricSample>& out) {
+  JsonReader in{json};
+  std::vector<MetricSample> top, nested;
+  bool has_nested = false;
+  const bool ok = in.object([&](const std::string& key) {
+    if (key != "metrics" || !in.peek('{')) return read_sample(in, key, top);
+    has_nested = true;
+    return in.object(
+        [&](const std::string& k) { return read_sample(in, k, nested); });
+  });
+  in.ws();
+  if (!ok || in.at != json.size()) return false;
+  out = std::move(has_nested ? nested : top);
+  return true;
 }
 
 MetricRegistry::Entry& MetricRegistry::find_or_create(MetricKind kind,
@@ -178,81 +417,11 @@ std::vector<MetricSample> MetricRegistry::samples() const {
 }
 
 void MetricRegistry::write_prometheus(std::ostream& os) const {
-  const auto all = samples();
-  // Exposition format requires all samples of a metric name to sit
-  // contiguously under one `# TYPE` line, so group by name (names ordered
-  // by first registration, label sets in registration order within one).
-  std::vector<std::string> name_order;
-  std::unordered_map<std::string, std::vector<const MetricSample*>> by_name;
-  for (const auto& s : all) {
-    auto& group = by_name[s.name];
-    if (group.empty()) name_order.push_back(s.name);
-    group.push_back(&s);
-  }
-  for (const auto& name : name_order) {
-    const auto& group = by_name[name];
-    os << "# TYPE " << name << ' ' << to_string(group.front()->kind) << '\n';
-    for (const MetricSample* sp : group) write_prometheus_sample(os, *sp);
-  }
-}
-
-void MetricRegistry::write_prometheus_sample(std::ostream& os,
-                                             const MetricSample& s) {
-  switch (s.kind) {
-    case MetricKind::kCounter:
-      os << prom_series(s.name, s.labels) << ' '
-         << static_cast<std::uint64_t>(s.value) << '\n';
-      break;
-    case MetricKind::kGauge:
-      os << prom_series(s.name, s.labels) << ' ' << fmt_scrape(s.value)
-         << '\n';
-      break;
-    case MetricKind::kHistogram: {
-      for (const double q : {0.5, 0.9, 0.99}) {
-        os << prom_series(s.name, s.labels,
-                          "quantile=\"" + fmt_scrape(q) + "\"")
-           << ' ' << fmt_scrape(s.hist.quantile_seconds(q)) << '\n';
-      }
-      os << prom_series(s.name + "_sum", s.labels) << ' '
-         << fmt_scrape(s.hist.total_seconds()) << '\n';
-      os << prom_series(s.name + "_count", s.labels) << ' ' << s.hist.count()
-         << '\n';
-      break;
-    }
-  }
+  obs::write_prometheus(os, samples());
 }
 
 void MetricRegistry::write_json(std::ostream& os, const char* indent) const {
-  const auto all = samples();
-  if (all.empty()) {
-    os << "{}";
-    return;
-  }
-  os << "{\n";
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    const auto& s = all[i];
-    os << indent << "  \"" << escape_json(prom_series(s.name, s.labels))
-       << "\": ";
-    switch (s.kind) {
-      case MetricKind::kCounter:
-        os << static_cast<std::uint64_t>(s.value);
-        break;
-      case MetricKind::kGauge: os << fmt_scrape(s.value); break;
-      case MetricKind::kHistogram:
-        os << "{\"count\": " << s.hist.count()
-           << ", \"sum\": " << fmt_scrape(s.hist.total_seconds())
-           << ", \"mean\": " << fmt_scrape(s.hist.mean_seconds())
-           << ", \"min\": " << fmt_scrape(s.hist.min_seconds())
-           << ", \"max\": " << fmt_scrape(s.hist.max_seconds())
-           << ", \"p50\": " << fmt_scrape(s.hist.quantile_seconds(0.5))
-           << ", \"p90\": " << fmt_scrape(s.hist.quantile_seconds(0.9))
-           << ", \"p99\": " << fmt_scrape(s.hist.quantile_seconds(0.99))
-           << ", \"buckets\": \"" << s.hist.encode_buckets() << "\"}";
-        break;
-    }
-    os << (i + 1 < all.size() ? ",\n" : "\n");
-  }
-  os << indent << '}';
+  obs::write_json(os, samples(), indent);
 }
 
 std::uint64_t MetricRegistry::counter_total(std::string_view name,

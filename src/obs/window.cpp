@@ -1,6 +1,7 @@
 #include "asamap/obs/window.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "asamap/obs/format.hpp"
 
@@ -12,33 +13,16 @@ std::string sample_key(const MetricSample& s) {
   return s.name + '{' + s.labels + '}';
 }
 
-/// `name{labels,window="fast"}` (or `name{window="fast"}`).
-std::string windowed_series(const std::string& name,
-                            const std::string& labels, const char* window,
-                            std::string_view extra = {}) {
-  std::string out = name;
-  out += '{';
-  if (!labels.empty()) {
-    out += labels;
-    out += ',';
-  }
-  out += "window=\"";
-  out += window;
-  out += '"';
-  if (!extra.empty()) {
-    out += ',';
-    out += extra;
-  }
-  out += '}';
-  return out;
-}
-
 }  // namespace
+
+std::vector<WindowTierConfig> default_window_tiers() {
+  return {{1'000'000'000ULL, 10, "fast"}, {10'000'000'000ULL, 6, "slow"}};
+}
 
 WindowStore::WindowStore(const MetricRegistry& registry, WindowConfig config,
                          std::uint64_t now_ns)
     : registry_(registry), config_(std::move(config)) {
-  if (config_.tiers.empty()) config_.tiers = WindowConfig{}.tiers;
+  if (config_.tiers.empty()) config_.tiers = default_window_tiers();
   tiers_.resize(config_.tiers.size());
   const Snapshot initial = take_snapshot(now_ns);
   for (auto& t : tiers_) {
@@ -151,60 +135,57 @@ double WindowStore::window_seconds(std::size_t tier, std::uint64_t now_ns) {
                          : static_cast<double>(now_ns - start) * 1e-9;
 }
 
+std::vector<MetricSample> WindowStore::view_locked(
+    const std::vector<MetricSample>& live, std::size_t t,
+    std::uint64_t now_ns, double& span) const {
+  const Snapshot& front = tiers_[t].ring.front();
+  span = now_ns <= front.taken_ns
+             ? 0.0
+             : static_cast<double>(now_ns - front.taken_ns) * 1e-9;
+  std::vector<MetricSample> view;
+  for (const MetricSample& s : live) {
+    if (s.kind == MetricKind::kGauge) continue;
+    MetricSample& w = view.emplace_back(s);
+    if (s.kind == MetricKind::kCounter) {
+      const auto it = front.counters.find(sample_key(s));
+      const double base = it == front.counters.end() ? 0.0 : it->second;
+      w.value = span <= 0.0 ? 0.0 : std::max(0.0, s.value - base) / span;
+    } else if (const auto it = front.hists.find(sample_key(s));
+               it != front.hists.end()) {
+      w.hist.subtract(it->second);
+    }
+  }
+  return view;
+}
+
 void WindowStore::write_prometheus(std::ostream& os, std::uint64_t now_ns) {
   std::lock_guard<std::mutex> lock(mu_);
   tick_locked(now_ns);
   const auto live = registry_.samples();
-  // Group by name so each derived series sits under one # TYPE line, the
-  // same exposition discipline as the cumulative scrape.
-  std::vector<const MetricSample*> counters, hists;
-  for (const auto& s : live) {
-    if (s.kind == MetricKind::kCounter) counters.push_back(&s);
-    if (s.kind == MetricKind::kHistogram) hists.push_back(&s);
+  std::vector<std::vector<MetricSample>> views(tiers_.size());
+  for (std::size_t t = 0; t < tiers_.size(); ++t) {
+    double span = 0.0;
+    views[t] = view_locked(live, t, now_ns, span);
   }
-  std::string last_name;
-  for (const MetricSample* s : counters) {
-    if (s->name != last_name) {
-      os << "# TYPE " << s->name << "_rate gauge\n";
-      last_name = s->name;
-    }
-    for (std::size_t t = 0; t < tiers_.size(); ++t) {
-      const Snapshot& front = tiers_[t].ring.front();
-      const std::uint64_t start = front.taken_ns;
-      const double span =
-          now_ns <= start ? 0.0
-                          : static_cast<double>(now_ns - start) * 1e-9;
-      const auto it = front.counters.find(sample_key(*s));
-      const double base = it == front.counters.end() ? 0.0 : it->second;
-      const double d = std::max(0.0, s->value - base);
-      os << windowed_series(s->name + "_rate", s->labels,
-                            config_.tiers[t].label)
-         << ' ' << fmt_scrape(span <= 0.0 ? 0.0 : d / span) << '\n';
+  // The views as samples of their own, rendered by the cumulative scrape's
+  // writer: each counter's rate as a `<name>_rate` gauge, each histogram
+  // as a `<name>_window` summary, one series per tier labelled
+  // window="<tier>".
+  std::vector<MetricSample> rates, hists;
+  for (std::size_t i = 0; i < views.front().size(); ++i) {
+    for (std::size_t t = 0; t < views.size(); ++t) {
+      MetricSample& s = views[t][i];
+      s.labels += (s.labels.empty() ? "window=\"" : ",window=\"") +
+                  std::string(config_.tiers[t].label) + '"';
+      const bool counter = s.kind == MetricKind::kCounter;
+      s.name += counter ? "_rate" : "_window";
+      if (counter) s.kind = MetricKind::kGauge;
+      (counter ? rates : hists).push_back(std::move(s));
     }
   }
-  last_name.clear();
-  for (const MetricSample* s : hists) {
-    if (s->name != last_name) {
-      os << "# TYPE " << s->name << "_window summary\n";
-      last_name = s->name;
-    }
-    for (std::size_t t = 0; t < tiers_.size(); ++t) {
-      const Snapshot& front = tiers_[t].ring.front();
-      support::LatencyHistogram h = s->hist;
-      if (const auto it = front.hists.find(sample_key(*s));
-          it != front.hists.end()) {
-        h.subtract(it->second);
-      }
-      const char* w = config_.tiers[t].label;
-      for (const double q : {0.5, 0.9, 0.99}) {
-        os << windowed_series(s->name + "_window", s->labels, w,
-                              "quantile=\"" + fmt_scrape(q) + "\"")
-           << ' ' << fmt_scrape(h.quantile_seconds(q)) << '\n';
-      }
-      os << windowed_series(s->name + "_window_count", s->labels, w) << ' '
-         << h.count() << '\n';
-    }
-  }
+  rates.insert(rates.end(), std::make_move_iterator(hists.begin()),
+               std::make_move_iterator(hists.end()));
+  obs::write_prometheus(os, rates);
 }
 
 void WindowStore::write_json(std::ostream& os, std::uint64_t now_ns,
@@ -214,10 +195,8 @@ void WindowStore::write_json(std::ostream& os, std::uint64_t now_ns,
   const auto live = registry_.samples();
   os << "{\n";
   for (std::size_t t = 0; t < tiers_.size(); ++t) {
-    const Snapshot& front = tiers_[t].ring.front();
-    const std::uint64_t start = front.taken_ns;
-    const double span =
-        now_ns <= start ? 0.0 : static_cast<double>(now_ns - start) * 1e-9;
+    double span = 0.0;
+    const auto view = view_locked(live, t, now_ns, span);
     os << indent << "  \"" << config_.tiers[t].label << "\": {\n"
        << indent << "    \"window_seconds\": " << fmt_scrape(span) << ",\n"
        << indent << "    \"interval_seconds\": "
@@ -225,40 +204,30 @@ void WindowStore::write_json(std::ostream& os, std::uint64_t now_ns,
                      1e-9)
        << ",\n"
        << indent << "    \"depth\": " << config_.tiers[t].depth << ",\n";
-    os << indent << "    \"rates\": {";
-    bool first = true;
-    for (const auto& s : live) {
-      if (s.kind != MetricKind::kCounter) continue;
-      const auto it = front.counters.find(sample_key(s));
-      const double base = it == front.counters.end() ? 0.0 : it->second;
-      const double d = std::max(0.0, s.value - base);
-      os << (first ? "\n" : ",\n") << indent << "      \""
-         << escape_json(sample_key(s))
-         << "\": " << fmt_scrape(span <= 0.0 ? 0.0 : d / span);
-      first = false;
-    }
-    os << '\n' << indent << "    },\n";
-    os << indent << "    \"histograms\": {";
-    first = true;
-    for (const auto& s : live) {
-      if (s.kind != MetricKind::kHistogram) continue;
-      support::LatencyHistogram h = s.hist;
-      if (const auto it = front.hists.find(sample_key(s));
-          it != front.hists.end()) {
-        h.subtract(it->second);
+    for (const MetricKind kind : {MetricKind::kCounter, MetricKind::kHistogram}) {
+      const bool rates = kind == MetricKind::kCounter;
+      os << indent << (rates ? "    \"rates\": {" : "    \"histograms\": {");
+      bool first = true;
+      for (const auto& s : view) {
+        if (s.kind != kind) continue;
+        os << (first ? "\n" : ",\n") << indent << "      \""
+           << escape_json(sample_key(s)) << "\": ";
+        first = false;
+        if (rates) {
+          os << fmt_scrape(s.value);
+          continue;
+        }
+        const support::LatencyHistogram& h = s.hist;
+        os << "{\"count\": " << h.count() << ", \"rate\": "
+           << fmt_scrape(span <= 0.0
+                             ? 0.0
+                             : static_cast<double>(h.count()) / span)
+           << ", \"p50\": " << fmt_scrape(h.quantile_seconds(0.5))
+           << ", \"p90\": " << fmt_scrape(h.quantile_seconds(0.9))
+           << ", \"p99\": " << fmt_scrape(h.quantile_seconds(0.99)) << '}';
       }
-      os << (first ? "\n" : ",\n") << indent << "      \""
-         << escape_json(sample_key(s)) << "\": {\"count\": " << h.count()
-         << ", \"rate\": "
-         << fmt_scrape(span <= 0.0
-                           ? 0.0
-                           : static_cast<double>(h.count()) / span)
-         << ", \"p50\": " << fmt_scrape(h.quantile_seconds(0.5))
-         << ", \"p90\": " << fmt_scrape(h.quantile_seconds(0.9))
-         << ", \"p99\": " << fmt_scrape(h.quantile_seconds(0.99)) << '}';
-      first = false;
+      os << '\n' << indent << (rates ? "    },\n" : "    }\n");
     }
-    os << '\n' << indent << "    }\n";
     os << indent << "  }" << (t + 1 < tiers_.size() ? ",\n" : "\n");
   }
   os << indent << '}';

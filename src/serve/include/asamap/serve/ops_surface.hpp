@@ -8,6 +8,7 @@
 ///
 ///   METRICS [prom|prometheus|json]       the cumulative registry
 ///   METRICS WINDOW [prom|prometheus|json] windowed rates + rolling quantiles
+///   METRICS FLEET [prom|prometheus|json]  (router) the shards' samples
 ///   HEALTH                               SLO verdict + one line per SLO
 ///   TRACE DUMP | STATUS | MARK <label>   the process flight recorder
 ///   STATS ... <identity suffix>          uptime= rev= build= faults=
@@ -15,9 +16,10 @@
 ///
 /// Every multi-line answer uses the protocol envelope (protocol.hpp); the
 /// JSON payloads open with the obs envelope fields (envelope.hpp), named
-/// `<prefix>_metrics` / `<prefix>_metrics_window`.
+/// `<prefix>_metrics` / `<prefix>_metrics_window` / `<prefix>_metrics_fleet`.
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -44,6 +46,20 @@ class OpsSurface {
   [[nodiscard]] std::string handle(
       verbs::Id verb, const std::vector<std::string_view>& tokens,
       const obs::HealthInputs& liveness = {});
+
+  /// What one METRICS FLEET probe found: the owner's fleet gauges (they
+  /// head the Prometheus text), the shards' relabelled series and their
+  /// aggregates, and which shards answered.
+  struct FleetScrape {
+    std::vector<obs::MetricSample> gauges, series;
+    obs::HealthInputs liveness;
+  };
+
+  /// Answers METRICS FLEET in `format` the way METRICS answers: the same
+  /// writers, format check and envelope.  `scrape` probes the shards; it
+  /// runs only for a known format.
+  [[nodiscard]] std::string fleet(
+      std::string_view format, const std::function<FleetScrape()>& scrape);
 
   /// The STATS build-identity suffix, leading space included:
   /// ` uptime=<s> rev=<rev> build=<mode> faults=<0|1> accumulator=flat`.

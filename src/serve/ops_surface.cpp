@@ -15,21 +15,37 @@ using namespace protocol;
 
 namespace {
 
-bool is_prom(std::string_view format) {
-  return format == "prom" || format == "prometheus";
-}
-
-/// A Prometheus rendering as an envelope payload: the envelope owns the
-/// terminator, so the renderer's final newline goes.
-std::string prom_enveloped(std::string text) {
-  if (!text.empty() && text.back() == '\n') text.pop_back();
-  return enveloped("prometheus", text);
-}
-
-std::string unknown_format(std::string_view what, std::string_view format) {
+/// The METRICS family's format dispatch: `prom(out)` writes the
+/// Prometheus text, `json()` returns the JSON document; any other format is
+/// refused naming `what`, before either runs.
+template <class Prom, class Json>
+std::string by_format(std::string_view what, std::string_view format,
+                      Prom&& prom, Json&& json) {
+  if (format == "prom" || format == "prometheus") {
+    std::ostringstream out;
+    prom(out);
+    // The envelope owns the terminator, so the renderer's final newline
+    // goes.
+    std::string text = out.str();
+    if (!text.empty() && text.back() == '\n') text.pop_back();
+    return enveloped("prometheus", text);
+  }
+  if (format == "json") return enveloped("json", json());
   return err(ServeCode::kInvalidArgument,
              std::string(what) + ": unknown format '" + std::string(format) +
                  "' (want prom or json)");
+}
+
+/// A METRICS-family JSON document: `{`, the envelope fields named `bench`,
+/// the members `body` writes (the last one without a trailing comma), `}`.
+template <class Body>
+std::string json_document(std::string bench, Body&& body) {
+  std::ostringstream out;
+  out << "{\n";
+  obs::write_envelope_fields(out, obs::make_envelope(std::move(bench)), "  ");
+  body(out);
+  out << "\n}";
+  return out.str();
 }
 
 }  // namespace
@@ -102,52 +118,59 @@ std::string OpsSurface::stats_identity() {
 
 std::string OpsSurface::metrics_json(const obs::MetricRegistry& metrics,
                                      std::string bench) {
-  std::ostringstream out;
-  out << "{\n";
-  obs::write_envelope_fields(out, obs::make_envelope(std::move(bench)), "  ");
-  out << "  \"metrics\": ";
-  metrics.write_json(out, "  ");
-  out << "\n}";
-  return out.str();
+  return json_document(std::move(bench), [&](std::ostream& out) {
+    out << "  \"metrics\": ";
+    metrics.write_json(out, "  ");
+  });
 }
 
 std::string OpsSurface::window_json(obs::WindowStore& window,
                                     std::uint64_t now_ns, std::string bench) {
-  std::ostringstream out;
-  out << "{\n";
-  obs::write_envelope_fields(out, obs::make_envelope(std::move(bench)), "  ");
-  out << "  \"window\": ";
-  window.write_json(out, now_ns, "  ");
-  out << "\n}";
-  return out.str();
+  return json_document(std::move(bench), [&](std::ostream& out) {
+    out << "  \"window\": ";
+    window.write_json(out, now_ns, "  ");
+  });
 }
 
 std::string OpsSurface::metrics(std::string_view format) {
   // A dashboard's uptime is never older than the scrape that read it.
   uptime_.set(obs::process_uptime_seconds());
-  if (is_prom(format)) {
-    std::ostringstream out;
-    metrics_.write_prometheus(out);
-    return prom_enveloped(out.str());
-  }
-  if (format == "json") {
-    return enveloped("json", metrics_json(metrics_, prefix_ + "_metrics"));
-  }
-  return unknown_format("METRICS", format);
+  return by_format(
+      "METRICS", format,
+      [&](std::ostream& out) { metrics_.write_prometheus(out); },
+      [&] { return metrics_json(metrics_, prefix_ + "_metrics"); });
 }
 
 std::string OpsSurface::window(std::string_view format) {
   const std::uint64_t now = obs::mono_now_ns();
-  if (is_prom(format)) {
-    std::ostringstream out;
-    window_.write_prometheus(out, now);
-    return prom_enveloped(out.str());
-  }
-  if (format == "json") {
-    return enveloped("json",
-                     window_json(window_, now, prefix_ + "_metrics_window"));
-  }
-  return unknown_format("METRICS WINDOW", format);
+  return by_format(
+      "METRICS WINDOW", format,
+      [&](std::ostream& out) { window_.write_prometheus(out, now); },
+      [&] { return window_json(window_, now, prefix_ + "_metrics_window"); });
+}
+
+std::string OpsSurface::fleet(std::string_view format,
+                              const std::function<FleetScrape()>& scrape) {
+  return by_format(
+      "METRICS FLEET", format,
+      [&](std::ostream& out) {
+        const FleetScrape found = scrape();
+        obs::write_prometheus(out, found.gauges);
+        obs::write_prometheus(out, found.series);
+      },
+      [&] {
+        const FleetScrape found = scrape();
+        const obs::HealthInputs& in = found.liveness;
+        return json_document(
+            prefix_ + "_metrics_fleet", [&](std::ostream& out) {
+              out << "  \"shards\": " << in.shards_up + in.shards_down
+                  << ",\n  \"up\": " << in.shards_up
+                  << ",\n  \"down\": " << in.shards_down
+                  << ",\n  \"down_list\": \"" << in.down_list
+                  << "\",\n  \"fleet\": ";
+              obs::write_json(out, found.series, "  ");
+            });
+      });
 }
 
 std::string OpsSurface::health(const obs::HealthInputs& liveness) {

@@ -7,11 +7,12 @@
 /// to hours range with a fixed 256-slot footprint.  Per-thread instances are
 /// merged after a run; no synchronization inside.
 
+#include <algorithm>
 #include <array>
 #include <bit>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <limits>
 #include <string>
 #include <string_view>
@@ -31,13 +32,7 @@ class LatencyHistogram {
     if (ns > max_ns_) max_ns_ = ns;
   }
 
-  void record_seconds(double seconds) {
-    // Round to the nearest ns: truncation biased every sample low by up to
-    // 1ns, which shows up at the bottom of the range (0.9999ns -> bucket 0).
-    record_ns(seconds <= 0.0
-                  ? 0
-                  : static_cast<std::uint64_t>(seconds * 1e9 + 0.5));
-  }
+  void record_seconds(double seconds) { record_ns(to_ns(seconds)); }
 
   void merge(const LatencyHistogram& other) {
     for (int b = 0; b < kBuckets; ++b) counts_[b] += other.counts_[b];
@@ -90,34 +85,36 @@ class LatencyHistogram {
     return out;
   }
 
-  /// Rebuilds a histogram from its scraped fields + encode_buckets() text.
-  /// Bucket pairs that fail to parse are skipped; the scalar fields are
-  /// trusted (they came from the same scrape), so a decoded histogram
-  /// merges and quantiles exactly like the in-process original.
+  /// Rebuilds a histogram from its scraped fields + encode_buckets() text,
+  /// so it merges and quantiles exactly like the in-process original.  The
+  /// text is peer input: a bucket pair that fails to parse or would wrap
+  /// the total is skipped (count() always equals the bucket sum), and the
+  /// scalars clamp into range like record_seconds().
   static LatencyHistogram decode(double sum_seconds, double min_seconds,
                                  double max_seconds,
                                  std::string_view buckets) {
     LatencyHistogram h;
-    std::size_t at = 0;
-    while (at < buckets.size()) {
-      std::size_t end = buckets.find(',', at);
-      if (end == std::string_view::npos) end = buckets.size();
-      const std::string_view pair = buckets.substr(at, end - at);
+    for (std::size_t at = 0; at < buckets.size();) {
+      const std::size_t end = std::min(buckets.find(',', at), buckets.size());
+      const char* last = buckets.data() + end;
+      int b = -1;
+      std::uint64_t c = 0;
+      const auto [colon, ec] = std::from_chars(buckets.data() + at, last, b);
       at = end + 1;
-      const std::size_t colon = pair.find(':');
-      if (colon == std::string_view::npos) continue;
-      const std::string bs(pair.substr(0, colon));
-      const std::string cs(pair.substr(colon + 1));
-      const long b = std::strtol(bs.c_str(), nullptr, 10);
-      const unsigned long long c = std::strtoull(cs.c_str(), nullptr, 10);
-      if (b < 0 || b >= kBuckets || c == 0) continue;
+      if (ec != std::errc() || colon == last || *colon != ':' ||
+          std::from_chars(colon + 1, last, c).ptr != last || b < 0 ||
+          b >= kBuckets || c == 0 ||
+          c > std::numeric_limits<std::uint64_t>::max() - h.count_) {
+        continue;
+      }
       h.counts_[static_cast<std::size_t>(b)] += c;
       h.count_ += c;
     }
-    h.sum_ns_ = sum_seconds * 1e9;
+    const double sum_ns = sum_seconds * 1e9;
+    h.sum_ns_ = std::isfinite(sum_ns) && sum_ns > 0.0 ? sum_ns : 0.0;
     if (h.count_ > 0) {
-      h.min_ns_ = static_cast<std::uint64_t>(std::fmax(min_seconds, 0.0) * 1e9 + 0.5);
-      h.max_ns_ = static_cast<std::uint64_t>(std::fmax(max_seconds, 0.0) * 1e9 + 0.5);
+      h.min_ns_ = to_ns(min_seconds);
+      h.max_ns_ = to_ns(max_seconds);
     }
     return h;
   }
@@ -162,6 +159,18 @@ class LatencyHistogram {
   }
 
  private:
+  /// Seconds to the nearest ns (truncating biased every sample low:
+  /// 0.9999ns -> bucket 0); negative and NaN give 0, and values past the
+  /// uint64 range saturate, where a plain cast would be undefined.
+  static std::uint64_t to_ns(double seconds) noexcept {
+    const double ns = seconds * 1e9 + 0.5;
+    if (!(ns >= 1.0)) return 0;
+    if (ns >= std::ldexp(1.0, 64)) {
+      return std::numeric_limits<std::uint64_t>::max();
+    }
+    return static_cast<std::uint64_t>(ns);
+  }
+
   /// ns < 4 map to buckets 0..3; otherwise (exp-1)*4 + top-2-mantissa-bits,
   /// which continues the sequence without gaps (ns=4..7 -> buckets 4..7).
   static int bucket_of(std::uint64_t ns) noexcept {

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -573,6 +574,136 @@ TEST_F(ShardedTierTest, ChunkedDistClusterMatchesSimulation) {
   const DistResult sim = dist::run_distributed_infomap(graph, opts);
   EXPECT_NEAR(live, sim.codelength, 1e-4)
       << "live=" << live << " sim=" << sim.codelength;
+}
+
+/// A scrape payload's samples as `series -> value text`.  Prometheus:
+/// every sample line.  JSON: the members of the nested registry object
+/// (four-space indent), keys left JSON-escaped, with a histogram's `mean`
+/// cut: it is derived, and a fleet recomputes it from the 9-digit `sum`,
+/// so its last digit may differ.
+std::map<std::string, std::string> scrape_values(const std::string& payload,
+                                                 bool json) {
+  std::map<std::string, std::string> out;
+  std::istringstream in(payload);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (json) {
+      if (line.rfind("    \"", 0) != 0) continue;
+      const std::size_t sep = line.find("\": ");
+      std::string value = line.substr(sep + 3);
+      if (!value.empty() && value.back() == ',') value.pop_back();
+      if (const std::size_t at = value.find("\"mean\": ");
+          at != std::string::npos) {
+        value.erase(at, value.find(", ", at) + 2 - at);
+      }
+      out[line.substr(5, sep - 5)] = value;
+    } else if (!line.empty() && line[0] != '#') {
+      const std::size_t sp = line.rfind(' ');
+      out[line.substr(0, sp)] = line.substr(sp + 1);
+    }
+  }
+  return out;
+}
+
+/// The series of a fleet scrape that carry `label` (`shard="K"` as the
+/// scrape spells it), keyed without it — as the shard's own scrape keys
+/// them.
+std::map<std::string, std::string> shard_series(
+    const std::map<std::string, std::string>& fleet,
+    const std::string& label) {
+  std::map<std::string, std::string> out;
+  for (const auto& [key, value] : fleet) {
+    std::string k = key;
+    if (std::size_t at = k.find("{" + label + "}"); at != std::string::npos) {
+      k.erase(at, label.size() + 2);
+    } else if (at = k.find("{" + label + ","); at != std::string::npos) {
+      k.erase(at + 1, label.size() + 1);
+    } else if (at = k.find("," + label); at != std::string::npos) {
+      k.erase(at, label.size() + 1);
+    } else {
+      continue;
+    }
+    out[k] = value;
+  }
+  return out;
+}
+
+// METRICS FLEET renders each shard's samples through the registry's own
+// writers, so a shard="K" series reads exactly as shard K's own scrape
+// (integer counters, 9-digit gauges: 3980744, not 3.98074e+06), and a
+// shard="fleet" counter is the sum of the shard counters.  Only series
+// that did not move across the scrapes (no uptime, no METRICS counts)
+// are compared.
+TEST_F(ShardedTierTest, FleetValuesMatchShardScrapes) {
+  ingest("GEN g 20000 120000 7");
+  const auto payload_of = [](const std::string& resp) {
+    std::string payload;
+    ops_pin::pinned_header(resp, &payload);
+    return payload;
+  };
+  for (const bool json : {false, true}) {
+    const std::string verb = json ? "METRICS json" : "METRICS";
+    std::map<std::string, std::string> before[kShards];
+    for (std::uint32_t k = 0; k < kShards; ++k) {
+      before[k] =
+          scrape_values(payload_of(shards_[k]->handle_line(verb)), json);
+    }
+    const auto fleet = scrape_values(
+        payload_of(router_->handle_line(json ? "METRICS FLEET json"
+                                             : "METRICS FLEET")),
+        json);
+    for (std::uint32_t k = 0; k < kShards; ++k) {
+      const auto after =
+          scrape_values(payload_of(shards_[k]->handle_line(verb)), json);
+      const std::string quote = json ? "\\\"" : "\"";
+      const auto routed = shard_series(
+          fleet, "shard=" + quote + std::to_string(k) + quote);
+      std::size_t compared = 0;
+      for (const auto& [key, value] : after) {
+        const auto was = before[k].find(key);
+        if (was == before[k].end() || was->second != value) continue;
+        const std::string where =
+            key + " shard " + std::to_string(k) + ' ' + verb;
+        ASSERT_TRUE(routed.count(key)) << where;
+        EXPECT_EQ(routed.at(key), value) << where;
+        ++compared;
+      }
+      EXPECT_GT(compared, 20u) << verb;
+      const std::string resident = "asamap_registry_resident_bytes";
+      ASSERT_TRUE(after.count(resident)) << verb;
+      EXPECT_GE(std::stod(after.at(resident)), 1e6);
+      EXPECT_EQ(routed.count(resident) ? routed.at(resident) : "absent",
+                after.at(resident))
+          << verb;
+    }
+  }
+
+  std::string prom = payload_of(router_->handle_line("METRICS FLEET"));
+  const auto values = scrape_values(prom, false);
+  std::set<std::string> counters;
+  std::istringstream in(prom);
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("# TYPE ", 0) == 0 && line.ends_with(" counter")) {
+      counters.insert(line.substr(7, line.size() - 7 - 8));
+    }
+  }
+  std::map<std::string, std::string> per_shard[kShards];
+  for (std::uint32_t k = 0; k < kShards; ++k) {
+    per_shard[k] =
+        shard_series(values, "shard=\"" + std::to_string(k) + "\"");
+  }
+  std::size_t sums = 0;
+  for (const auto& [key, value] : shard_series(values, "shard=\"fleet\"")) {
+    if (counters.count(key.substr(0, key.find('{'))) == 0) continue;
+    std::uint64_t want = 0;
+    for (const auto& shard : per_shard) {
+      ASSERT_TRUE(shard.count(key)) << key;
+      want += std::stoull(shard.at(key));
+    }
+    EXPECT_EQ(std::stoull(value), want) << key;
+    ++sums;
+  }
+  EXPECT_GT(sums, 5u);
 }
 
 // A fake shard whose only answer is the ring-full rejection: backpressure

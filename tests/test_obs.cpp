@@ -7,6 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -250,6 +254,241 @@ TEST(MetricRegistry, ConcurrentRecordAndScrape) {
             static_cast<std::uint64_t>(kWriters) * kPerWriter);
   EXPECT_EQ(reg.histogram_merged_all("asamap_stress_seconds").count(),
             static_cast<std::uint64_t>(kWriters) * kPerWriter);
+}
+
+// --- The scrape format: parse_metrics_json --------------------------------
+
+/// `b:c,...` bucket text summed, the count a histogram's buckets hold.
+std::uint64_t bucket_sum(const support::LatencyHistogram& h) {
+  std::uint64_t sum = 0;
+  std::istringstream in(h.encode_buckets());
+  for (std::string pair; std::getline(in, pair, ',');) {
+    sum += std::stoull(pair.substr(pair.find(':') + 1));
+  }
+  return sum;
+}
+
+// parse_metrics_json is write_json's inverse: written, parsed and written
+// again, a registry's scrape comes back byte for byte, with its kinds,
+// label bodies and bucket counts — and the same from a `METRICS json`
+// document, which carries the registry as its "metrics" member.
+TEST(MetricsJson, ParseInvertsWrite) {
+  MetricRegistry reg;
+  reg.counter("asamap_bytes_total").inc(3980744);
+  reg.gauge("asamap_codelength_bits").set(1.07504934);
+  Histogram& h = reg.histogram(
+      "asamap_req_seconds",
+      "graph=\"" + escape_label_value("a\"b\\c") + "\",verb=\"MEMBER\"");
+  for (int i = 1; i <= 50; ++i) h.record_seconds(i * 1.7e-4);
+
+  std::ostringstream first;
+  reg.write_json(first);
+  std::ostringstream doc;
+  doc << "{\n  \"bench\": \"x\",\n  \"single_core_caveat\": false,\n"
+      << "  \"host_max_threads\": 4,\n  \"metrics\": " << first.str()
+      << "\n}";
+  for (const std::string& text : {first.str(), doc.str()}) {
+    std::vector<MetricSample> parsed;
+    ASSERT_TRUE(parse_metrics_json(text, parsed)) << text;
+    std::ostringstream second;
+    write_json(second, parsed);
+    EXPECT_EQ(second.str(), first.str());
+    std::ostringstream prom_want, prom_got;
+    reg.write_prometheus(prom_want);
+    write_prometheus(prom_got, parsed);
+    EXPECT_EQ(prom_got.str(), prom_want.str());
+
+    const std::vector<MetricSample> want = reg.samples();
+    ASSERT_EQ(parsed.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(parsed[i].kind, want[i].kind) << want[i].name;
+      EXPECT_EQ(parsed[i].name, want[i].name);
+      EXPECT_EQ(parsed[i].labels, want[i].labels);
+      EXPECT_EQ(parsed[i].value, want[i].value) << want[i].name;
+      EXPECT_EQ(parsed[i].hist.encode_buckets(),
+                want[i].hist.encode_buckets());
+    }
+  }
+  std::vector<MetricSample> untouched(1);
+  EXPECT_FALSE(parse_metrics_json("{\"asamap_x\": 1", untouched));
+  EXPECT_EQ(untouched.size(), 1u);
+}
+
+// A shard's scrape is peer input to the router.  What the parser must
+// refuse: non-finite and negative histogram scalars (a max of 1e300 once
+// reached an undefined ns cast in decode), counts that disagree with the
+// buckets or wrap them, and non-finite scalars; the sibling samples
+// survive.
+TEST(MetricsJson, DropsHostileSamplesAndKeepsTheRest) {
+  const std::string ok = "\"asamap_ok_total\": 7";
+  const std::string hist = "{\"count\": 1, \"sum\": 0.5, \"min\": 0.5, "
+                           "\"max\": 0.5, \"buckets\": \"115:1\"}";
+  const auto survivors = [&](const std::string& member) {
+    std::vector<MetricSample> out;
+    EXPECT_TRUE(parse_metrics_json("{" + ok + ", " + member + "}", out))
+        << member;
+    std::string names;
+    for (const MetricSample& s : out) names += s.name + ' ';
+    return names;
+  };
+  EXPECT_EQ(survivors("\"asamap_h\": " + hist), "asamap_ok_total asamap_h ");
+  for (const std::string bad :
+       {"\"max\": 1e300", "\"max\": 1e309", "\"sum\": nan", "\"min\": -inf",
+        "\"sum\": -1", "\"count\": 2", "\"count\": -1"}) {
+    std::string member = hist;
+    const std::string field = bad.substr(0, bad.find(':') + 2);
+    const std::size_t at = member.find(field);
+    member.replace(at, member.find_first_of(",}", at) - at, bad);
+    EXPECT_EQ(survivors("\"asamap_h\": " + member), "asamap_ok_total ")
+        << member;
+  }
+  EXPECT_EQ(survivors("\"asamap_h\": {\"count\": 1, \"sum\": 0, \"min\": 0, "
+                      "\"max\": 0, \"buckets\": "
+                      "\"0:18446744073709551615,1:1\"}"),
+            "asamap_ok_total ");
+  for (const std::string bad :
+       {"\"asamap_g\": nan", "\"asamap_g\": inf", "\"asamap_g\": 1e309",
+        "\"asamap_c_total\": -3", "\"asamap_c_total\": 1e20",
+        "\"9bad\": 1", "\"asamap_g{x=\\\"1\\\"\": 1", "\"bench\": \"x\""}) {
+    EXPECT_EQ(survivors(bad), "asamap_ok_total ") << bad;
+  }
+  EXPECT_EQ(survivors("\"asamap_g\": -2.5"), "asamap_ok_total asamap_g ");
+}
+
+TEST(LatencyHistogramDecode, ClampsScalarsAndKeepsCountEqualToBuckets) {
+  const auto h = support::LatencyHistogram::decode(
+      1e300, -1.0, 1e300, "4:18446744073709551615,5:1,x:2,6:y,300:1");
+  EXPECT_EQ(h.count(), std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(bucket_sum(h), h.count());
+  EXPECT_EQ(h.total_seconds(), 0.0);  // 1e300 s is past any ns sum
+  EXPECT_EQ(h.min_seconds(), 0.0);
+  EXPECT_EQ(h.max_seconds(),
+            static_cast<double>(std::numeric_limits<std::uint64_t>::max()) *
+                1e-9);
+}
+
+/// Seeded mutants of valid scrapes: byte flips, truncations, duplicated
+/// lines, hostile scalars in a histogram's count/sum/min/max, oversized
+/// bucket counts.
+class ScrapeMutator {
+ public:
+  explicit ScrapeMutator(std::uint64_t seed) : rng_(seed) {}
+
+  std::string mutate(std::string text) {
+    const int rounds = 1 + static_cast<int>(pick(3));
+    for (int r = 0; r < rounds && !text.empty(); ++r) {
+      switch (pick(5)) {
+        case 0:  // byte flips
+          for (int i = 0, n = 1 + static_cast<int>(pick(4)); i < n; ++i) {
+            text[pick(text.size())] ^= static_cast<char>(1 + pick(255));
+          }
+          break;
+        case 1: text.resize(pick(text.size())); break;
+        case 2: {  // a duplicated line
+          const std::size_t at = text.rfind('\n', pick(text.size()));
+          const std::size_t from = at == std::string::npos ? 0 : at + 1;
+          const std::size_t to = text.find('\n', from);
+          const std::string line =
+              text.substr(from, to == std::string::npos ? to : to - from + 1);
+          text.insert(from, line);
+          break;
+        }
+        case 3: {  // a hostile histogram scalar
+          static const char* kFields[] = {"\"count\": ", "\"sum\": ",
+                                          "\"min\": ", "\"max\": "};
+          static const char* kValues[] = {
+              "1e309", "nan", "-inf", "inf", "-1", "-0.5", "1e300",
+              "1e19", "-0", "18446744073709551616", "0x10", "1e-320"};
+          replace_value(text, kFields[pick(4)], kValues[pick(12)], ",}");
+          break;
+        }
+        default: {  // an oversized bucket count
+          static const char* kCounts[] = {
+              "18446744073709551615", "18446744073709551616",
+              "99999999999999999999999", "9223372036854775808", "0", "-1"};
+          const std::size_t at = text.find(":", text.find("\"buckets\": \"",
+                                                          pick(text.size())));
+          if (at == std::string::npos) break;
+          const std::size_t end = text.find_first_of(",\"", at + 1);
+          if (end == std::string::npos) break;
+          text.replace(at + 1, end - at - 1, kCounts[pick(6)]);
+          break;
+        }
+      }
+    }
+    return text;
+  }
+
+ private:
+  std::size_t pick(std::size_t n) { return n == 0 ? 0 : rng_() % n; }
+
+  /// Replaces the value after one randomly chosen occurrence of `field`.
+  void replace_value(std::string& text, const std::string& field,
+                     const std::string& value, const char* stops) {
+    std::size_t at = text.find(field, pick(text.size()));
+    if (at == std::string::npos) at = text.find(field);
+    if (at == std::string::npos) return;
+    at += field.size();
+    const std::size_t end = text.find_first_of(stops, at);
+    text.replace(at, end == std::string::npos ? end : end - at, value);
+  }
+
+  std::mt19937_64 rng_;
+};
+
+// The oracle: the parser never crashes (nor, in the sanitizer build,
+// trips ASan/UBSan), every histogram it returns holds as many samples as
+// its buckets, every scalar is finite and a counter's non-negative, and
+// whatever it returns renders again.
+TEST(MetricsJsonFuzz, MutatedScrapesParseSafely) {
+  MetricRegistry reg;
+  reg.counter("asamap_req_total", "verb=\"MEMBER\"").inc(3980744);
+  reg.counter("asamap_err_total").inc(3);
+  reg.gauge("asamap_depth").set(-1.25);
+  reg.gauge("asamap_resident_bytes").set(3980744);
+  for (int i = 0; i < 3; ++i) {
+    Histogram& h = reg.histogram("asamap_req_seconds",
+                                 "verb=\"" + std::to_string(i) + "\"");
+    for (int j = 1; j <= 40 * (i + 1); ++j) {
+      h.record_seconds(j * 3.1e-5 * (i + 1));
+    }
+  }
+  std::ostringstream registry;
+  reg.write_json(registry);
+  const std::string seeds[] = {
+      registry.str(), "{\n  \"bench\": \"serve_metrics\",\n  \"metrics\": " +
+                          registry.str() + "\n}"};
+
+  constexpr int kMutants = 4000;
+  ScrapeMutator mutator(20261019);
+  std::size_t accepted = 0, histograms = 0;
+  for (int i = 0; i < kMutants; ++i) {
+    const std::string text = mutator.mutate(seeds[i % 2]);
+    std::vector<MetricSample> out;
+    if (!parse_metrics_json(text, out)) continue;
+    ++accepted;
+    for (const MetricSample& s : out) {
+      switch (s.kind) {
+        case MetricKind::kHistogram:
+          ++histograms;
+          EXPECT_EQ(s.hist.count(), bucket_sum(s.hist)) << text;
+          EXPECT_TRUE(std::isfinite(s.hist.total_seconds())) << text;
+          break;
+        case MetricKind::kCounter:
+          EXPECT_GE(s.value, 0.0) << text;
+          [[fallthrough]];
+        case MetricKind::kGauge:
+          EXPECT_TRUE(std::isfinite(s.value)) << text;
+      }
+    }
+    std::ostringstream os;
+    write_prometheus(os, out);
+    write_json(os, out);
+  }
+  // The mutants must not all be refused outright: many keep their shape
+  // (about a quarter of them parse).
+  EXPECT_GT(accepted, static_cast<std::size_t>(kMutants / 10));
+  EXPECT_GT(histograms, static_cast<std::size_t>(kMutants / 10));
 }
 
 // --- KernelSpan ----------------------------------------------------------

@@ -4,17 +4,15 @@
 // runs under TSAN in CI), the golden CLUSTER span tree, and the zero-
 // allocation guarantee on the KernelSpan hot path.
 //
-// This file replaces global operator new/delete with counting versions so
-// the zero-alloc test can assert on the exact allocation count of a span
-// open/close; the counters are plain relaxed atomics and do not perturb
-// the other tests.
+// The binary links alloc_counter.cpp, which replaces global operator
+// new/delete with counting versions so the zero-alloc test can assert on
+// the exact allocation count of a span open/close; the counter is a plain
+// relaxed atomic and does not perturb the other tests.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -30,35 +28,10 @@
 
 using namespace asamap;
 
-// ---- global allocation counter (for the zero-alloc KernelSpan test) -----
-
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                                   (size + static_cast<std::size_t>(align) -
-                                    1) &
-                                       ~(static_cast<std::size_t>(align) - 1))) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
+namespace alloc_counter {
+/// Allocations through global operator new so far (alloc_counter.cpp).
+std::uint64_t allocations();
+}  // namespace alloc_counter
 
 namespace {
 
@@ -340,14 +313,20 @@ TEST(KernelSpanAlloc, SpanOpenCloseAllocatesNothingAfterWarmup) {
   obs::KernelTimers timers(timer, &registry);
   { obs::KernelSpan warm(timers, obs::KernelPhase::kPageRank); }
 
-  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  // The counter is live: a heap-backed string moves it.
+  const std::uint64_t probe = alloc_counter::allocations();
+  std::ostringstream heap;
+  heap << std::string(100, 'x');
+  EXPECT_GT(alloc_counter::allocations(), probe) << heap.str().size();
+
+  const std::uint64_t before = alloc_counter::allocations();
   for (int i = 0; i < 100; ++i) {
     obs::KernelSpan a(timers, obs::KernelPhase::kPageRank);
     obs::KernelSpan b(timers, obs::KernelPhase::kFindBestCommunity);
     obs::KernelSpan c(timers, obs::KernelPhase::kConvert2SuperNode);
     obs::KernelSpan d(timers, obs::KernelPhase::kUpdateMembers);
   }
-  const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t after = alloc_counter::allocations();
   EXPECT_EQ(after - before, 0u)
       << "KernelSpan open/close must not allocate on the hot path";
 

@@ -143,6 +143,38 @@ TEST(WindowStore, PrometheusOutputCarriesWindowLabels) {
   EXPECT_NE(out.find("asamap_test_total_rate"), std::string::npos) << out;
 }
 
+// The windowed series go through the cumulative scrape's writer: one
+// `# TYPE` line per name even when a name's label sets were registered
+// apart, and a windowed summary carries _sum and _count.
+TEST(WindowStore, PrometheusGroupsEachNameUnderOneTypeLine) {
+  MetricRegistry reg;
+  reg.counter("asamap_a_total", "k=\"x\"").inc(1);
+  reg.counter("asamap_b_total").inc(1);
+  reg.counter("asamap_a_total", "k=\"y\"").inc(1);
+  Histogram& h = reg.histogram("asamap_test_seconds");
+  WindowStore w(reg, small_config());
+  h.record_seconds(0.25);
+  std::ostringstream os;
+  w.write_prometheus(os, 2 * kSec);
+  const std::string out = os.str();
+  const auto count = [&](const std::string& needle) {
+    std::size_t n = 0;
+    for (std::size_t at = out.find(needle); at != std::string::npos;
+         at = out.find(needle, at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(count("# TYPE asamap_a_total_rate gauge\n"), 1u) << out;
+  EXPECT_EQ(count("# TYPE asamap_test_seconds_window summary\n"), 1u) << out;
+  EXPECT_EQ(count("asamap_test_seconds_window_sum{window=\"fast\"} 0.25\n"),
+            1u)
+      << out;
+  EXPECT_EQ(count("asamap_test_seconds_window_count{window=\"slow\"} 1\n"),
+            1u)
+      << out;
+}
+
 TEST(WindowStore, JsonOutputHasOneObjectPerTier) {
   MetricRegistry reg;
   reg.counter("asamap_test_total").inc(3);
