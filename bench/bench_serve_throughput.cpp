@@ -133,9 +133,12 @@ struct Ledger {
   double seconds = 0.0;
 
   /// Answered over sent on `lanes`; a busy APPLY is correct behavior.
+  /// Walks the lane indices rather than the list, so every subscript is
+  /// visibly in bounds.
   [[nodiscard]] double goodput(std::initializer_list<Lane> lanes) const {
     std::uint64_t good = 0, all = 0;
-    for (const Lane l : lanes) {
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      if (std::find(lanes.begin(), lanes.end(), l) == lanes.end()) continue;
       good += ok[l] + (l == kApply ? busy : 0);
       all += sent[l];
     }

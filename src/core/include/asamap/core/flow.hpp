@@ -69,6 +69,13 @@ struct FlowNetwork {
   [[nodiscard]] std::span<const double> in_flow() const noexcept {
     return distinct_in_flow.empty() ? out_flow : distinct_in_flow;
   }
+  /// True when every in row and its flows are the out row and its flows:
+  /// the graph is one-sided and in_flow() aliases out_flow.  Per-vertex
+  /// in-side sums then equal the out-side sums bit for bit, so the kernel
+  /// and ModuleState derive them from one pass.
+  [[nodiscard]] bool mirrored() const noexcept {
+    return graph_->one_sided() && distinct_in_flow.empty();
+  }
 
   /// Points the network at `g`, which must outlive it.
   void borrow(const CsrGraph& g) noexcept {

@@ -175,10 +175,12 @@ inline void seed_active_set(const FlowNetwork& fn,
                             std::vector<std::uint8_t>& active) {
   std::fill(active.begin(), active.end(), 0);
   const VertexId n = fn.num_nodes();
+  const bool one_sided = fn.graph().one_sided();
   for (const VertexId s : seed) {
     if (s >= n) continue;
     active[s] = 1;
     for (const graph::Arc& a : fn.graph().out_neighbors(s)) active[a.dst] = 1;
+    if (one_sided) continue;  // the in row is the out row
     for (const graph::Arc& a : fn.graph().in_neighbors(s)) active[a.dst] = 1;
   }
 }

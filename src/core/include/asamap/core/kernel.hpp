@@ -18,6 +18,14 @@
 /// Every step emits instruction/branch/memory events to the sink, and the
 /// kernel attributes cycles and wall time to HashOperations vs the rest so
 /// the Fig. 2b / Table V / Fig. 7 breakdowns fall out directly.
+///
+/// Native fast path.  On a mirrored network (FlowNetwork::mirrored(): every
+/// undirected input) the in pass of step 1 repeats the out pass, so an
+/// engine with trail replay (FlatAccumulator) hashes each row once and
+/// replays the in side's adds in order; the modelled engines hash both
+/// passes.  Step 3 runs ModuleState's inline source/target delta split,
+/// which reuses plogp values exactly (map_equation.hpp).  Both keep every
+/// result bit for bit, and the simulated event stream is unchanged.
 
 #include <algorithm>
 #include <concepts>
@@ -38,6 +46,17 @@ namespace asamap::core {
 /// SpGEMM kernel in spgemm/.
 template <typename A>
 concept FlowAccumulator = hashdb::KvAccumulator<A>;
+
+/// An accumulator that can repeat its recorded calls with new values
+/// (hashdb::FlatAccumulator).  On a mirrored network evaluate_move then
+/// hashes each row once; every other engine hashes both passes, so the
+/// simulated configurations price both.
+template <typename A>
+concept TrailReplay = requires(A a, std::uint32_t k, double v,
+                               std::span<const double> values) {
+  { a.accumulate_traced(k, v) };
+  { a.replay(values) };
+};
 
 /// Simulated base addresses of the per-level shared arrays the kernel
 /// touches.  CSR arc scans are sequential (stream loads); the module-id
@@ -180,41 +199,61 @@ MoveProposal evaluate_move(const ModuleState& state, const FlowNetwork& fn,
   // accumulate/materialize machinery itself — per-call cycle snapshots
   // attribute exactly that.
   double hash_cycles = 0.0;
+  // One side of the adjacency: per arc, the simulated arc stream and
+  // module-id loads, then `add(module, flow)` timed as HashOperations.
+  const auto scan_side = [&](std::span<const graph::Arc> arcs,
+                             std::uint64_t arc_addrs, std::size_t base,
+                             const double* flow, auto&& add) {
+    for (std::size_t i = 0; i < arcs.size(); ++i) {
+      if (i + kModulePrefetchDistance < arcs.size()) {
+        ASAMAP_PREFETCH_READ(modules + arcs[i + kModulePrefetchDistance].dst);
+      }
+      sink.load_stream(arc_addrs + (base + i) * 16, 16);
+      sink.load(addrs.module_of + std::uint64_t{arcs[i].dst} * 4, 4);
+      sink.instructions(costs.per_link);
+      const double t0 = detail::cycles_of(sink);
+      add(modules[arcs[i].dst], flow[base + i]);
+      hash_cycles += detail::cycles_of(sink) - t0;
+    }
+    breakdown.accumulate_calls += arcs.size();
+  };
+  const std::size_t out_base = static_cast<std::size_t>(g.out_offset(v));
+  const auto out_arcs = g.out_neighbors(v);
   acc.begin();
-  {
-    const std::size_t base = static_cast<std::size_t>(g.out_offset(v));
-    const auto arcs = g.out_neighbors(v);
-    for (std::size_t i = 0; i < arcs.size(); ++i) {
-      if (i + kModulePrefetchDistance < arcs.size()) {
-        ASAMAP_PREFETCH_READ(modules + arcs[i + kModulePrefetchDistance].dst);
+  bool replayed = false;
+  if constexpr (TrailReplay<Acc>) {
+    if (fn.mirrored()) {
+      // The in row and its flows are the out row and its flows, so the in
+      // pass would hash the same keys again.  Hash once, recording each
+      // arc's pair, then replay the in pass's adds along that trail: the
+      // same additions in the same order as two hashed passes (a doubled
+      // single pass would not be, since S + o1 + ... + ok != 2S in floating
+      // point).  The in side's arc stream and adds are still priced and
+      // counted.
+      scan_side(out_arcs, addrs.out_arcs, out_base, fn.out_flow.data(),
+                [&acc](VertexId m, double f) { acc.accumulate_traced(m, f); });
+      for (std::size_t i = 0; i < out_arcs.size(); ++i) {
+        sink.load_stream(addrs.in_arcs + (out_base + i) * 16, 16);
+        sink.load(addrs.module_of + std::uint64_t{out_arcs[i].dst} * 4, 4);
+        sink.instructions(costs.per_link);
       }
-      sink.load_stream(addrs.out_arcs + (base + i) * 16, 16);
-      sink.load(addrs.module_of + std::uint64_t{arcs[i].dst} * 4, 4);
-      sink.instructions(costs.per_link);
       const double t0 = detail::cycles_of(sink);
-      acc.accumulate(modules[arcs[i].dst], fn.out_flow[base + i]);
+      acc.replay(std::span(fn.out_flow).subspan(out_base, out_arcs.size()));
       hash_cycles += detail::cycles_of(sink) - t0;
+      breakdown.accumulate_calls += out_arcs.size();
+      replayed = true;
     }
-    breakdown.accumulate_calls += arcs.size();
   }
-  {
-    // On a one-sided graph these are the out row and out_flow again, still
-    // warm from the loop above.
-    const std::size_t base = static_cast<std::size_t>(g.in_offset(v));
-    const auto arcs = g.in_neighbors(v);
-    const double* const in_flow = fn.in_flow().data();
-    for (std::size_t i = 0; i < arcs.size(); ++i) {
-      if (i + kModulePrefetchDistance < arcs.size()) {
-        ASAMAP_PREFETCH_READ(modules + arcs[i + kModulePrefetchDistance].dst);
-      }
-      sink.load_stream(addrs.in_arcs + (base + i) * 16, 16);
-      sink.load(addrs.module_of + std::uint64_t{arcs[i].dst} * 4, 4);
-      sink.instructions(costs.per_link);
-      const double t0 = detail::cycles_of(sink);
-      acc.accumulate(modules[arcs[i].dst], in_flow[base + i]);
-      hash_cycles += detail::cycles_of(sink) - t0;
-    }
-    breakdown.accumulate_calls += arcs.size();
+  if (!replayed) {
+    const auto accumulate = [&acc](VertexId m, double f) {
+      acc.accumulate(m, f);
+    };
+    scan_side(out_arcs, addrs.out_arcs, out_base, fn.out_flow.data(),
+              accumulate);
+    // On a one-sided graph these are the out row again, still warm.
+    scan_side(g.in_neighbors(v), addrs.in_arcs,
+              static_cast<std::size_t>(g.in_offset(v)), fn.in_flow().data(),
+              accumulate);
   }
   const double t_finalize = detail::cycles_of(sink);
   const std::span<const hashdb::KeyValue> pairs = acc.finalize();
@@ -326,13 +365,15 @@ bool find_best_community(ModuleState& state, const FlowNetwork& fn, VertexId v,
   return true;
 }
 
-/// Marks v and its neighborhood for re-evaluation next sweep.
+/// Marks v and its neighborhood for re-evaluation next sweep.  A one-sided
+/// graph's in row is its out row, so only two-sided graphs walk both.
 inline void mark_neighborhood(const FlowNetwork& fn, VertexId v,
                               std::uint8_t* next_active) {
   next_active[v] = 1;
   for (const graph::Arc& arc : fn.graph().out_neighbors(v)) {
     next_active[arc.dst] = 1;
   }
+  if (fn.graph().one_sided()) return;
   for (const graph::Arc& arc : fn.graph().in_neighbors(v)) {
     next_active[arc.dst] = 1;
   }

@@ -25,13 +25,23 @@
 /// Data layout.  Each module's aggregates live in one 64-byte line
 /// (ModuleAgg) together with the module's three plogp terms, cached from the
 /// live aggregates, so a candidate evaluation gathers a single line and
-/// recomputes none of the target's current terms.  The moving vertex's
-/// old-module side of the delta is the same for every candidate target:
-/// source_terms() computes it once per vertex and delta_to() adds the
-/// target side (4 plogp calls per candidate instead of 14).  The split
-/// keeps every leaf value and the evaluation order of the single formula,
-/// so results are bitwise identical to evaluating it in one piece.
+/// recomputes none of the target's current terms.  plogp(S) is cached too.
+/// The moving vertex's old-module side of the delta is the same for every
+/// candidate target: source_terms() computes it once per vertex and
+/// delta_to() adds the target side.  Both are inline, so the kernel's
+/// candidate loop calls no out-of-line function but log2.
+///
+/// plogp reuse.  plogp is a pure function, so an argument that compares ==
+/// to one already evaluated takes the earlier value, bit for bit.  Under the
+/// undirected model a module's enter equals its exit whenever its in-link
+/// and out-link sums do (always at singletons), so a candidate costs 3 log2
+/// calls (S', enter_t' == exit_t', exit_t' + flow_t') and a source side 2;
+/// under the directed model enter != exit and every term is taken (4 per
+/// candidate, 3 per source side).  The split keeps every leaf value and the
+/// evaluation order of the single formula, so results are bitwise identical
+/// to evaluating it in one piece.
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -40,7 +50,15 @@
 namespace asamap::core {
 
 /// x * log2(x), with plogp(0) = 0.
-double plogp(double x) noexcept;
+inline double plogp(double x) noexcept {
+  return x > 0.0 ? x * std::log2(x) : 0.0;
+}
+
+/// plogp(x), reusing `plogp_y` = plogp(y) when x == y: exact, since plogp
+/// is a pure function of the value (and plogp(-0.0) == plogp(0.0)).
+inline double plogp_reuse(double x, double y, double plogp_y) noexcept {
+  return x == y ? plogp_y : plogp(x);
+}
 
 /// Codelength of the trivial all-in-one-module partition, in O(n): the
 /// single module has exactly zero exit and enter flow, so the map equation
@@ -103,13 +121,79 @@ class ModuleState {
   };
 
   /// Source side of moving v, given the current-module half of `f`.
-  [[nodiscard]] SourceTerms source_terms(VertexId v, const MoveFlows& f) const;
+  [[nodiscard]] SourceTerms source_terms(VertexId v,
+                                         const MoveFlows& f) const noexcept {
+    const FlowNetwork& fn = *fn_;
+    const VertexId o = module_of_[v];
+    const ModuleAgg& om = mods_[o];
+
+    // Old-module aggregates after removing v.
+    const double o_out =
+        om.out_link - (node_out_[v] - f.out_to_current) + f.in_from_current;
+    const double o_in =
+        om.in_link - (node_in_[v] - f.in_from_current) + f.out_to_current;
+    const double o_flow = om.flow - fn.node_flow[v];
+    const double o_tp = om.tp - fn.teleport_flow[v];
+    const std::uint64_t o_cnt = om.cnt - fn.orig_count[v];
+    const double new_exit_o = exit_from(o_out, o_tp, o_cnt);
+
+    SourceTerms s;
+    s.module = o;
+    s.enter_sum_less_old = enter_sum_ - enter_from(om.in_link, om.tp, om.cnt);
+    s.new_enter = enter_from(o_in, o_tp, o_cnt);
+    s.plogp_enter_sum = plogp_enter_sum_;
+    s.plogp_new_enter = plogp(s.new_enter);
+    s.plogp_old_enter = om.plogp_enter;
+    s.plogp_new_exit =
+        plogp_reuse(new_exit_o, s.new_enter, s.plogp_new_enter);
+    s.plogp_old_exit = om.plogp_exit;
+    s.plogp_new_exit_flow = plogp(new_exit_o + o_flow);
+    s.plogp_old_exit_flow = om.plogp_exit_flow;
+    return s;
+  }
 
   /// Code-length change (bits) if node v moves to `target`, given
   /// source_terms(v, f) and the target half of `f`.  Negative is an
   /// improvement.  Returns 0 when target == current module.
   [[nodiscard]] double delta_to(const SourceTerms& src, VertexId v,
-                                VertexId target, const MoveFlows& f) const;
+                                VertexId target,
+                                const MoveFlows& f) const noexcept {
+    if (src.module == target) return 0.0;
+    const FlowNetwork& fn = *fn_;
+    const ModuleAgg& tm = mods_[target];
+
+    // Target-module aggregates after adding v.
+    const double t_out =
+        tm.out_link + (node_out_[v] - f.out_to_target) - f.in_from_target;
+    const double t_in =
+        tm.in_link + (node_in_[v] - f.in_from_target) - f.out_to_target;
+    const double t_flow = tm.flow + fn.node_flow[v];
+    const double t_tp = tm.tp + fn.teleport_flow[v];
+    const std::uint64_t t_cnt = tm.cnt + fn.orig_count[v];
+
+    const double old_enter_t = enter_from(tm.in_link, tm.tp, tm.cnt);
+    const double new_exit_t = exit_from(t_out, t_tp, t_cnt);
+    const double new_enter_t = enter_from(t_in, t_tp, t_cnt);
+
+    // S' = S - enter_o - enter_t + enter_o' + enter_t', summed left to right.
+    const double new_enter_sum =
+        src.enter_sum_less_old - old_enter_t + src.new_enter + new_enter_t;
+
+    const double plogp_new_enter_t = plogp(new_enter_t);
+    const double plogp_new_exit_t =
+        plogp_reuse(new_exit_t, new_enter_t, plogp_new_enter_t);
+
+    // The map equation's change term by term; each line keeps the
+    // (new_o + new_t) - old_o - old_t order.
+    double delta = plogp(new_enter_sum) - src.plogp_enter_sum;
+    delta -= src.plogp_new_enter + plogp_new_enter_t - src.plogp_old_enter -
+             tm.plogp_enter;
+    delta -= src.plogp_new_exit + plogp_new_exit_t - src.plogp_old_exit -
+             tm.plogp_exit;
+    delta += src.plogp_new_exit_flow + plogp(new_exit_t + t_flow) -
+             src.plogp_old_exit_flow - tm.plogp_exit_flow;
+    return delta;
+  }
 
   /// delta_to(source_terms(v, f), v, target, f): the O(1) evaluation of a
   /// single recorded move.
@@ -160,9 +244,15 @@ class ModuleState {
   [[nodiscard]] double exit_of(VertexId m) const noexcept;
   [[nodiscard]] double enter_of(VertexId m) const noexcept;
   [[nodiscard]] double exit_from(double out_link, double tp,
-                                 std::uint64_t cnt) const noexcept;
+                                 std::uint64_t cnt) const noexcept {
+    const double N = static_cast<double>(fn_->total_orig);
+    return out_link + tp * (N - static_cast<double>(cnt)) / N;
+  }
   [[nodiscard]] double enter_from(double in_link, double tp,
-                                  std::uint64_t cnt) const noexcept;
+                                  std::uint64_t cnt) const noexcept {
+    const double N = static_cast<double>(fn_->total_orig);
+    return in_link + (static_cast<double>(cnt) / N) * (total_tp_ - tp);
+  }
 
   const FlowNetwork* fn_;
   Partition module_of_;
@@ -175,6 +265,7 @@ class ModuleState {
 
   double total_tp_ = 0.0;    ///< TP
   double enter_sum_ = 0.0;   ///< S
+  double plogp_enter_sum_ = 0.0;  ///< plogp(S)
   double sum_plogp_enter_ = 0.0;
   double sum_plogp_exit_ = 0.0;
   double sum_plogp_exit_flow_ = 0.0;

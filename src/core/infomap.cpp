@@ -3,6 +3,7 @@
 #include <omp.h>
 
 #include <algorithm>
+#include <array>
 #include <numeric>
 
 #include "asamap/asa/accumulator.hpp"
@@ -213,7 +214,6 @@ struct ParallelWorkspace {
   std::vector<std::uint8_t> next_active;
   std::vector<std::uint8_t> flagged;       ///< has a recorded proposal
   std::vector<MoveProposal> proposals;     ///< phase-1 output per vertex
-  std::vector<std::uint64_t> stamp;        ///< epoch of last neighborhood change
 
   // Per-thread state, shard-per-thread with a post-region fold
   // (obs::PerThread replaces the hand-rolled CacheAligned vectors plus
@@ -237,12 +237,10 @@ struct ParallelWorkspace {
       next_active.resize(n);
       flagged.resize(n);
       proposals.resize(n);
-      stamp.resize(n);
     }
     std::fill_n(active.begin(), n, std::uint8_t{1});
     std::fill_n(next_active.begin(), n, std::uint8_t{0});
     std::fill_n(flagged.begin(), n, std::uint8_t{0});
-    std::fill_n(stamp.begin(), n, std::uint64_t{0});
   }
 };
 
@@ -266,12 +264,15 @@ constexpr VertexId kRound = 1024;
 ///   full proposal (target + boundary flows).
 ///   Phase 2 (serial, inside `omp single`): the round's proposals are
 ///   verified and applied in vertex order.  A proposal's flows are exact iff
-///   no neighbor of the vertex moved since the round's snapshot — tracked
-///   with per-vertex epoch stamps bumped on every applied move — in which
+///   no neighbor of the vertex moved since the round's snapshot, in which
 ///   case the code-length delta is re-derived from live aggregates in O(1)
 ///   (a *replay*) and the move applies without touching the accumulator.
 ///   Only vertices whose neighborhood changed re-run the full accumulation
-///   (a *revalidation*).
+///   (a *revalidation*).  The conflict detector is a kRound-byte `touched`
+///   map over the round's window [lo, hi), cleared each round: a move marks
+///   the mover and those of its neighbors inside the window, since only the
+///   window's later vertices are still to be verified this round (the
+///   round-window conflict management of arXiv:1806.00751).
 ///
 /// Later rounds propose against the moves of earlier ones, so a sweep is
 /// close to a serial Gauss-Seidel pass and few proposals go stale.
@@ -296,7 +297,6 @@ std::uint64_t parallel_sweeps(const LevelSweep& lv, int max_sweeps,
   if (lv.seed != nullptr) seed_active_set(fn, *lv.seed, ws.active);
   sim::NullSink sink;  // stateless: sharing across threads is race-free
 
-  std::uint64_t epoch = 0;        // applied-move counter (phase 2 only)
   std::uint64_t total_moves = 0;
   std::uint64_t moves = 0;        // this sweep's moves (phase 2 only)
   double prev_codelength = state.codelength();
@@ -337,6 +337,11 @@ std::uint64_t parallel_sweeps(const LevelSweep& lv, int max_sweeps,
     sweep_wall.reset();  // next sweep measures from here
   };
 
+  // Phase 2's conflict map: touched[v - lo] is set once v or a neighbor of
+  // v moved in the current round.
+  std::array<std::uint8_t, kRound> touched{};
+  const bool one_sided = fn.graph().one_sided();
+
   support::tsan_release(&ws);  // workspace + state: main -> team
 #pragma omp parallel num_threads(ws.threads) default(shared)
   {
@@ -375,14 +380,20 @@ std::uint64_t parallel_sweeps(const LevelSweep& lv, int max_sweeps,
 
 #pragma omp single nowait
         {
-          const std::uint64_t snapshot = epoch;
+          std::fill_n(touched.begin(), hi - lo, std::uint8_t{0});
+          // Marks u for the next sweep and, when it lies in this round's
+          // window, as touched.
+          const auto touch = [&](VertexId u) {
+            ws.next_active[u] = 1;
+            if (u - lo < hi - lo) touched[u - lo] = 1;
+          };
           // Phase 2: verify and apply serially in vertex order — exact and
           // deterministic regardless of thread count.
           for (VertexId v = lo; v < hi; ++v) {
             if (!ws.flagged[v]) continue;
             ws.flagged[v] = 0;
             bool moved = false;
-            if (ws.stamp[v] <= snapshot) {
+            if (!touched[v - lo]) {
               // Neighborhood untouched since the snapshot: the recorded
               // flows are exact; only the delta needs refreshing (other
               // modules' aggregates moved under us), which is O(1).
@@ -404,16 +415,14 @@ std::uint64_t parallel_sweeps(const LevelSweep& lv, int max_sweeps,
             }
             if (moved) {
               ++moves;
-              ++epoch;
-              ws.stamp[v] = epoch;
-              ws.next_active[v] = 1;
+              touch(v);
               for (const graph::Arc& arc : fn.graph().out_neighbors(v)) {
-                ws.stamp[arc.dst] = epoch;
-                ws.next_active[arc.dst] = 1;
+                touch(arc.dst);
               }
-              for (const graph::Arc& arc : fn.graph().in_neighbors(v)) {
-                ws.stamp[arc.dst] = epoch;
-                ws.next_active[arc.dst] = 1;
+              if (!one_sided) {
+                for (const graph::Arc& arc : fn.graph().in_neighbors(v)) {
+                  touch(arc.dst);
+                }
               }
             }
           }

@@ -1,14 +1,8 @@
 #include "asamap/core/map_equation.hpp"
 
-#include <cmath>
-
 #include "asamap/support/check.hpp"
 
 namespace asamap::core {
-
-double plogp(double x) noexcept {
-  return x > 0.0 ? x * std::log2(x) : 0.0;
-}
 
 double one_level_codelength(const FlowNetwork& fn) {
   // One module holding every node: all arcs are intra-module, so exit and
@@ -45,7 +39,6 @@ void ModuleState::init_aggregates() {
   const VertexId n = fn.num_nodes();
 
   node_out_.assign(n, 0.0);
-  node_in_.assign(n, 0.0);
   {
     std::size_t e = 0;
     for (VertexId u = 0; u < n; ++u) {
@@ -54,7 +47,13 @@ void ModuleState::init_aggregates() {
         node_out_[u] += fn.out_flow[e++];
       }
     }
-    e = 0;
+  }
+  if (fn.mirrored()) {
+    // The in pass would add the same flows in the same order.
+    node_in_ = node_out_;
+  } else {
+    node_in_.assign(n, 0.0);
+    std::size_t e = 0;
     const std::span<const double> in_flow = fn.in_flow();
     for (VertexId v = 0; v < n; ++v) {
       for ([[maybe_unused]] const graph::Arc& arc :
@@ -94,18 +93,6 @@ void ModuleState::init_aggregates() {
   recompute();
 }
 
-double ModuleState::exit_from(double out_link, double tp,
-                              std::uint64_t cnt) const noexcept {
-  const double N = static_cast<double>(fn_->total_orig);
-  return out_link + tp * (N - static_cast<double>(cnt)) / N;
-}
-
-double ModuleState::enter_from(double in_link, double tp,
-                               std::uint64_t cnt) const noexcept {
-  const double N = static_cast<double>(fn_->total_orig);
-  return in_link + (static_cast<double>(cnt) / N) * (total_tp_ - tp);
-}
-
 double ModuleState::exit_of(VertexId m) const noexcept {
   const ModuleAgg& a = mods_[m];
   return exit_from(a.out_link, a.tp, a.cnt);
@@ -120,7 +107,7 @@ void ModuleState::refresh(VertexId m) noexcept {
   ModuleAgg& a = mods_[m];
   const double ex = exit_of(m);
   a.plogp_exit = plogp(ex);
-  a.plogp_enter = plogp(enter_of(m));
+  a.plogp_enter = plogp_reuse(enter_of(m), ex, a.plogp_exit);
   a.plogp_exit_flow = plogp(ex + a.flow);
 }
 
@@ -138,12 +125,13 @@ void ModuleState::recompute() {
     sum_plogp_exit_ += a.plogp_exit;
     sum_plogp_exit_flow_ += a.plogp_exit_flow;
   }
-  codelength_ = plogp(enter_sum_) - sum_plogp_enter_ - sum_plogp_exit_ +
+  plogp_enter_sum_ = plogp(enter_sum_);
+  codelength_ = plogp_enter_sum_ - sum_plogp_enter_ - sum_plogp_exit_ +
                 sum_plogp_exit_flow_ - node_flow_log_;
 }
 
 double ModuleState::index_codelength() const noexcept {
-  return plogp(enter_sum_) - sum_plogp_enter_;
+  return plogp_enter_sum_ - sum_plogp_enter_;
 }
 
 std::size_t ModuleState::live_modules() const {
@@ -152,71 +140,6 @@ std::size_t ModuleState::live_modules() const {
     if (a.cnt > 0) ++live;
   }
   return live;
-}
-
-ModuleState::SourceTerms ModuleState::source_terms(VertexId v,
-                                                   const MoveFlows& f) const {
-  const FlowNetwork& fn = *fn_;
-  const VertexId o = module_of_[v];
-  const ModuleAgg& om = mods_[o];
-
-  // Old-module aggregates after removing v.
-  const double o_out =
-      om.out_link - (node_out_[v] - f.out_to_current) + f.in_from_current;
-  const double o_in =
-      om.in_link - (node_in_[v] - f.in_from_current) + f.out_to_current;
-  const double o_flow = om.flow - fn.node_flow[v];
-  const double o_tp = om.tp - fn.teleport_flow[v];
-  const std::uint64_t o_cnt = om.cnt - fn.orig_count[v];
-  const double new_exit_o = exit_from(o_out, o_tp, o_cnt);
-
-  SourceTerms s;
-  s.module = o;
-  s.enter_sum_less_old = enter_sum_ - enter_of(o);
-  s.new_enter = enter_from(o_in, o_tp, o_cnt);
-  s.plogp_enter_sum = plogp(enter_sum_);
-  s.plogp_new_enter = plogp(s.new_enter);
-  s.plogp_old_enter = om.plogp_enter;
-  s.plogp_new_exit = plogp(new_exit_o);
-  s.plogp_old_exit = om.plogp_exit;
-  s.plogp_new_exit_flow = plogp(new_exit_o + o_flow);
-  s.plogp_old_exit_flow = om.plogp_exit_flow;
-  return s;
-}
-
-double ModuleState::delta_to(const SourceTerms& src, VertexId v,
-                             VertexId target, const MoveFlows& f) const {
-  if (src.module == target) return 0.0;
-  const FlowNetwork& fn = *fn_;
-  const ModuleAgg& tm = mods_[target];
-
-  // Target-module aggregates after adding v.
-  const double t_out =
-      tm.out_link + (node_out_[v] - f.out_to_target) - f.in_from_target;
-  const double t_in =
-      tm.in_link + (node_in_[v] - f.in_from_target) - f.out_to_target;
-  const double t_flow = tm.flow + fn.node_flow[v];
-  const double t_tp = tm.tp + fn.teleport_flow[v];
-  const std::uint64_t t_cnt = tm.cnt + fn.orig_count[v];
-
-  const double old_enter_t = enter_from(tm.in_link, tm.tp, tm.cnt);
-  const double new_exit_t = exit_from(t_out, t_tp, t_cnt);
-  const double new_enter_t = enter_from(t_in, t_tp, t_cnt);
-
-  // S' = S - enter_o - enter_t + enter_o' + enter_t', summed left to right.
-  const double new_enter_sum =
-      src.enter_sum_less_old - old_enter_t + src.new_enter + new_enter_t;
-
-  // The map equation's change term by term; each line keeps the
-  // (new_o + new_t) - old_o - old_t order.
-  double delta = plogp(new_enter_sum) - src.plogp_enter_sum;
-  delta -= src.plogp_new_enter + plogp(new_enter_t) - src.plogp_old_enter -
-           tm.plogp_enter;
-  delta -= src.plogp_new_exit + plogp(new_exit_t) - src.plogp_old_exit -
-           tm.plogp_exit;
-  delta += src.plogp_new_exit_flow + plogp(new_exit_t + t_flow) -
-           src.plogp_old_exit_flow - tm.plogp_exit_flow;
-  return delta;
 }
 
 void ModuleState::apply_move(VertexId v, VertexId target, const MoveFlows& f) {
@@ -255,7 +178,8 @@ void ModuleState::apply_move(VertexId v, VertexId target, const MoveFlows& f) {
   sum_plogp_exit_flow_ += om.plogp_exit_flow + tm.plogp_exit_flow;
   enter_sum_ += enter_of(o) + enter_of(target);
 
-  codelength_ = plogp(enter_sum_) - sum_plogp_enter_ - sum_plogp_exit_ +
+  plogp_enter_sum_ = plogp(enter_sum_);
+  codelength_ = plogp_enter_sum_ - sum_plogp_enter_ - sum_plogp_exit_ +
                 sum_plogp_exit_flow_ - node_flow_log_;
 }
 

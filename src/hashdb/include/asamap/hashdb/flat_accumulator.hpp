@@ -26,6 +26,11 @@
 ///     order-insensitive.
 ///   - No sink events, no simulated addresses: the concept's whole surface
 ///     compiles down to a handful of instructions per accumulate.
+///   - Trail replay: `accumulate_traced()` also records which pair each call
+///     landed in, and `replay()` adds a second row of values along that
+///     trail with no probing.  The kernel uses it on a mirrored network,
+///     where a vertex's in row is its out row: one hashed pass plus a replay
+///     makes exactly the additions of two hashed passes, in the same order.
 
 #include <cstdint>
 #include <span>
@@ -47,6 +52,7 @@ class FlatAccumulator {
   /// cycle are invalidated by the epoch bump, not by touching memory.
   void begin() {
     pairs_.clear();
+    trail_.clear();
     if (++epoch_ == 0) {  // epoch wrapped: stale stamps could alias
       for (Slot& s : slots_) s.epoch = 0;
       epoch_ = 1;
@@ -54,24 +60,20 @@ class FlatAccumulator {
   }
 
   /// key += value, inserting on first sight.
-  void accumulate(std::uint32_t key, double value) {
-    std::size_t i = support::bucket_of(support::mix64(key), slots_.size());
-    const std::size_t mask = slots_.size() - 1;
-    for (;;) {
-      Slot& s = slots_[i];
-      if (s.epoch != epoch_) {  // empty this cycle: claim it
-        s.key = key;
-        s.epoch = epoch_;
-        s.pair_index = static_cast<std::uint32_t>(pairs_.size());
-        pairs_.push_back(KeyValue{key, value});
-        if (pairs_.size() * 2 >= slots_.size()) grow();
-        return;
-      }
-      if (s.key == key) {
-        pairs_[s.pair_index].value += value;
-        return;
-      }
-      i = (i + 1) & mask;
+  void accumulate(std::uint32_t key, double value) { add(key, value); }
+
+  /// accumulate(), also recording which pair `key` landed in, for replay().
+  void accumulate_traced(std::uint32_t key, double value) {
+    trail_.push_back(add(key, value));
+  }
+
+  /// Adds values[i] to the pair that the i-th accumulate_traced() call of
+  /// this cycle landed in, for i in order: exactly the additions that
+  /// accumulate(key_i, values[i]) would make once every key is present.
+  /// `values` holds one entry per traced call.
+  void replay(std::span<const double> values) noexcept {
+    for (std::size_t i = 0; i < trail_.size(); ++i) {
+      pairs_[trail_[i]].value += values[i];
     }
   }
 
@@ -91,8 +93,32 @@ class FlatAccumulator {
     std::uint32_t pair_index = 0;  ///< where this key's running sum lives
   };
 
+  /// key += value; returns the index of key's pair.
+  std::uint32_t add(std::uint32_t key, double value) {
+    std::size_t i = support::bucket_of(support::mix64(key), slots_.size());
+    const std::size_t mask = slots_.size() - 1;
+    for (;;) {
+      Slot& s = slots_[i];
+      if (s.epoch != epoch_) {  // empty this cycle: claim it
+        const auto p = static_cast<std::uint32_t>(pairs_.size());
+        s.key = key;
+        s.epoch = epoch_;
+        s.pair_index = p;
+        pairs_.push_back(KeyValue{key, value});
+        if (pairs_.size() * 2 >= slots_.size()) grow();
+        return p;
+      }
+      if (s.key == key) {
+        pairs_[s.pair_index].value += value;
+        return s.pair_index;
+      }
+      i = (i + 1) & mask;
+    }
+  }
+
   /// Doubles the table, re-inserting only the current cycle's keys (the
-  /// pairs vector *is* the touched list).
+  /// pairs vector *is* the touched list).  Pair indices, and so the trail,
+  /// stay valid.
   void grow() {
     slots_.assign(slots_.size() * 2, Slot{});
     epoch_ = 1;
@@ -108,6 +134,7 @@ class FlatAccumulator {
 
   std::vector<Slot> slots_;       ///< power-of-two open-addressing table
   std::vector<KeyValue> pairs_;   ///< touched list + materialized output
+  std::vector<std::uint32_t> trail_;  ///< pair index per traced call
   std::uint32_t epoch_ = 1;
 };
 

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <iterator>
 #include <unordered_map>
 #include <vector>
 
@@ -326,6 +328,51 @@ TEST(FlatAccumulator, ManyCyclesStayCheapAndCorrect) {
       EXPECT_NEAR(kv.value, ref[kv.key], 1e-12);
     }
   }
+}
+
+TEST(FlatAccumulator, TrailReplayEqualsSecondPass) {
+  // One traced pass plus a replay of the same values must leave every pair
+  // bitwise where two plain passes leave it, growth in between included.
+  // Key 4's values make doubling its first-pass sum differ from adding them
+  // again: 2 * (0.1 + 0.2 + 0.001) != 0.1 + 0.2 + 0.001 + 0.1 + 0.2 + 0.001.
+  const std::uint32_t keys[] = {4, 11, 4, 23, 11, 4, 37, 23, 11};
+  const double values[] = {0.1, 0.3, 0.2, 3.3, 1.0 / 3.0, 0.001, 0.7, 0.05,
+                           1e-3};
+  hashdb::FlatAccumulator traced(8);
+  hashdb::FlatAccumulator twice(8);
+  traced.begin();
+  twice.begin();
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t i = 0; i < std::size(keys); ++i) {
+      if (pass == 0) traced.accumulate_traced(keys[i], values[i]);
+      twice.accumulate(keys[i], values[i]);
+    }
+  }
+  traced.replay(values);
+  EXPECT_GT(traced.capacity(), 8u);  // grew between trail and replay
+
+  const auto a = traced.finalize();
+  const auto b = twice.finalize();
+  ASSERT_EQ(a.size(), 4u);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].key, b[i].key);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i].value),
+              std::bit_cast<std::uint64_t>(b[i].value))
+        << "key " << a[i].key;
+  }
+  ASSERT_EQ(a[0].key, 4u);
+  const double once = (0.1 + 0.2) + 0.001;
+  EXPECT_NE(a[0].value, 2.0 * once);
+  EXPECT_EQ(a[0].value, ((once + 0.1) + 0.2) + 0.001);
+
+  // The next cycle starts a fresh trail.
+  traced.begin();
+  traced.accumulate_traced(9, 1.5);
+  const double again[] = {2.0};
+  traced.replay(again);
+  ASSERT_EQ(traced.finalize().size(), 1u);
+  EXPECT_EQ(traced.finalize()[0].value, 3.5);
 }
 
 TEST(FlatAccumulator, MatchesChainedAccumulatorAsMultiset) {

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "asamap/asa/accumulator.hpp"
 #include "asamap/core/dense_accumulator.hpp"
 #include "asamap/core/kernel.hpp"
@@ -309,6 +313,75 @@ TEST(Kernel, EvaluateMoveMatchesBruteForceDeltaMove) {
   }
   EXPECT_GT(candidates, fn.num_nodes());
   EXPECT_GT(moves, 0u);
+}
+
+TEST(Kernel, MirroredPassMatchesTwoSidedPass) {
+  // On a mirrored network evaluate_move hashes each row once and replays
+  // the in side; the same network given a two-sided graph and a copied
+  // distinct_in_flow takes the two hashed passes.  Every proposal, the
+  // accumulate count and the evolving state must agree bit for bit.
+  gen::ChungLuParams params;
+  params.n = 2000;
+  params.target_edges = 12000;
+  params.gamma = 2.3;
+  params.max_deg = 300;
+  const CsrGraph g = gen::chung_lu(params, 67);
+  const FlowNetwork mirrored = core::build_flow(g);
+  ASSERT_TRUE(mirrored.mirrored());
+
+  graph::CsrRows rows;
+  rows.out_offsets.push_back(0);
+  for (VertexId u = 0; u < g.num_vertices(); ++u) {
+    const auto arcs = g.out_neighbors(u);
+    rows.out_arcs.insert(rows.out_arcs.end(), arcs.begin(), arcs.end());
+    rows.out_offsets.push_back(rows.out_arcs.size());
+  }
+  rows.derive_in_side();
+  const std::vector<VertexId> no_changed_rows;
+  const CsrGraph two_sided_g =
+      CsrGraph::from_rows(std::move(rows), &no_changed_rows);
+  ASSERT_FALSE(two_sided_g.one_sided());
+  FlowNetwork two_sided = mirrored;
+  two_sided.borrow(two_sided_g);
+  two_sided.distinct_in_flow = mirrored.out_flow;
+  ASSERT_FALSE(two_sided.mirrored());
+
+  ModuleState a(mirrored);
+  ModuleState b(two_sided);
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  ASSERT_EQ(bits(a.codelength()), bits(b.codelength()));
+
+  NullSink sink;
+  hashdb::AddressSpace addrs;
+  hashdb::FlatAccumulator acc_a, acc_b;
+  const LevelAddresses la = LevelAddresses::for_network(mirrored, addrs);
+  const KernelCosts costs;
+  KernelBreakdown bd_a, bd_b;
+  std::uint64_t moves = 0;
+  for (int sweep = 0; sweep < 3; ++sweep) {
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      const core::MoveProposal p =
+          core::evaluate_move(a, mirrored, v, acc_a, sink, la, costs, bd_a);
+      const core::MoveProposal q =
+          core::evaluate_move(b, two_sided, v, acc_b, sink, la, costs, bd_b);
+      ASSERT_EQ(p.target, q.target) << "vertex " << v;
+      ASSERT_EQ(bits(p.delta), bits(q.delta)) << "vertex " << v;
+      ASSERT_EQ(bits(p.flows.out_to_target), bits(q.flows.out_to_target));
+      ASSERT_EQ(bits(p.flows.in_from_target), bits(q.flows.in_from_target));
+      ASSERT_EQ(bits(p.flows.out_to_current), bits(q.flows.out_to_current));
+      ASSERT_EQ(bits(p.flows.in_from_current),
+                bits(q.flows.in_from_current));
+      ASSERT_EQ(bd_a.accumulate_calls, bd_b.accumulate_calls);
+      if (p.improving(a.module_of(v))) {
+        a.apply_move(v, p.target, p.flows);
+        b.apply_move(v, q.target, q.flows);
+        ++moves;
+      }
+    }
+  }
+  EXPECT_GT(moves, 0u);
+  EXPECT_EQ(bd_a.accumulate_calls, 2 * 3 * std::uint64_t{g.num_arcs()});
+  EXPECT_EQ(bits(a.codelength()), bits(b.codelength()));
 }
 
 TEST(Kernel, IsolatedVertexNeverMoves) {

@@ -219,8 +219,14 @@ class ReferenceDelta {
     }
   }
 
+  /// The new enter and exit flows of both modules of a move.
+  struct NewTerms {
+    double enter_o = 0.0, exit_o = 0.0, enter_t = 0.0, exit_t = 0.0;
+  };
+
   double operator()(const ModuleState& s, VertexId v, VertexId target,
-                    const ModuleState::MoveFlows& f) const {
+                    const ModuleState::MoveFlows& f,
+                    NewTerms* terms = nullptr) const {
     const VertexId o = s.module_of(v);
     if (o == target) return 0.0;
     const ModuleState::ModuleAgg& om = s.module_agg(o);
@@ -250,6 +256,10 @@ class ReferenceDelta {
     const double new_exit_t = exit_from(t_out, t_tp, t_cnt);
     const double new_enter_o = enter_from(o_in, o_tp, o_cnt);
     const double new_enter_t = enter_from(t_in, t_tp, t_cnt);
+
+    if (terms != nullptr) {
+      *terms = {new_enter_o, new_exit_o, new_enter_t, new_exit_t};
+    }
 
     const double enter_sum = s.enter_sum();
     const double new_enter_sum =
@@ -378,6 +388,57 @@ TEST(MapEquation, SplitDeltaIsBitwiseTheFullFormulaDirectedTeleport) {
   const FlowNetwork fn = core::build_flow(g, opts);
   ASSERT_GT(fn.teleport_flow[0], 0.0);
   check_split_delta_bitwise(fn, 10000, 31);
+}
+
+TEST(MapEquation, DirectedDeltaTakesEveryPlogp) {
+  // The delta reuses plogp(x) for an argument equal to one already taken,
+  // which under the undirected model skips enter' whenever it equals exit'.
+  // Under the directed model teleportation makes enter != exit on both
+  // sides of nearly every move that leaves its source module non-empty, so
+  // every term must be evaluated; a reuse keyed on anything but equality
+  // of the argument would show up here.
+  support::Xoshiro256 rng(37);
+  EdgeList e;
+  for (int i = 0; i < 3000; ++i) {
+    const auto u = static_cast<VertexId>(rng.next_below(300));
+    const auto w = static_cast<VertexId>(rng.next_below(300));
+    if (u != w) e.add(u, w);
+  }
+  e.coalesce();
+  core::FlowOptions opts;
+  opts.model = core::FlowModel::kDirected;
+  const CsrGraph g = CsrGraph::from_edges(e);
+  const FlowNetwork fn = core::build_flow(g, opts);
+  ASSERT_FALSE(fn.mirrored());
+
+  ModuleState state(fn);
+  const ReferenceDelta reference(fn);
+  int applied = 0;
+  int kept = 0;
+  int both_distinct = 0;
+  for (int attempt = 0; applied < 3000 && attempt < 100000; ++attempt) {
+    const auto v = static_cast<VertexId>(rng.next_below(fn.num_nodes()));
+    const auto nbrs = fn.graph().out_neighbors(v);
+    if (nbrs.empty()) continue;
+    const VertexId target =
+        state.module_of(nbrs[rng.next_below(nbrs.size())].dst);
+    if (target == state.module_of(v)) continue;
+    const ModuleState::MoveFlows f = exact_flows(fn, state, v, target);
+    ReferenceDelta::NewTerms t;
+    const double want = reference(state, v, target, f, &t);
+    ASSERT_EQ(state.delta_move(v, target, f), want) << "move " << applied;
+    // A source module the move empties has enter' == exit' == 0.
+    if (state.module_agg(state.module_of(v)).cnt > 1) {
+      ++kept;
+      if (t.enter_o != t.exit_o && t.enter_t != t.exit_t) ++both_distinct;
+    }
+    state.apply_move(v, target, f);
+    ++applied;
+  }
+  ASSERT_EQ(applied, 3000);
+  EXPECT_GT(kept, applied / 2);
+  EXPECT_GE(both_distinct, kept * 99 / 100);
+  expect_cache_fresh(state, applied);
 }
 
 }  // namespace

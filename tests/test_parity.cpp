@@ -273,6 +273,23 @@ TEST(RefactorPin, ParallelThreadCounts) {
   }
 }
 
+TEST(RefactorPin, ParallelVerifyCounts) {
+  // How the serial verify settles each proposal — an O(1) replay, or a
+  // revalidation because a neighbor moved earlier in the round — depends
+  // only on which vertices the round's moves touched, never on the thread
+  // count or on how the conflict detector records it.
+  for (const int threads : {1, 2, 4}) {
+    const InfomapResult r =
+        core::run_infomap_parallel(pin_graph(), {}, threads);
+    SCOPED_TRACE(threads);
+    EXPECT_EQ(r.breakdown.proposals, 32852u);
+    EXPECT_EQ(r.breakdown.replays, 26001u);
+    EXPECT_EQ(r.breakdown.revalidations, 6851u);
+    EXPECT_EQ(r.breakdown.moves, 31076u);
+    EXPECT_EQ(r.breakdown.accumulate_calls, 4597230u);
+  }
+}
+
 TEST(RefactorPin, WarmSeededBelowAndAboveLocalRepair) {
   const graph::CsrGraph& g = pin_graph();
   const InfomapResult base = core::run_infomap_parallel(g, {}, 2);
